@@ -16,8 +16,9 @@ BudgetExceeded instead of answering False.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .connectivity import _flow_paths
 from .graph_core import Graph, GraphError, _mask_bits
@@ -120,6 +121,15 @@ def _subpaths(p: PathVerts):
             yield i, j
 
 
+def _off_path(n: int, p: PathVerts) -> int:
+    """Mask of the vertices off p; a detour between two vertices of p may
+    use these and its own two ends."""
+    mask = (1 << n) - 1
+    for x in p:
+        mask &= ~(1 << x)
+    return mask
+
+
 @functools.lru_cache(maxsize=200_000)
 def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
     """For every subpath (i,j) of p, the number of internally-disjoint
@@ -129,14 +139,11 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
     rest of p, and for single-edge subpaths the edge itself is barred.
     """
     adj = g._adj
-    full = (1 << g.n) - 1
-    pmask = 0
-    for x in p:
-        pmask |= 1 << x
+    rest = _off_path(g.n, p)
     out = []
     for i, j in _subpaths(p):
         a, b = p[i], p[j]
-        alive = (full & ~pmask) | (1 << a) | (1 << b)
+        alive = rest | (1 << a) | (1 << b)
         banned = (a, b) if j == i + 1 else None
         da = bin(adj[a] & alive).count("1") - (1 if banned and g.has_edge(a, b) else 0)
         db = bin(adj[b] & alive).count("1") - (1 if banned and g.has_edge(a, b) else 0)
@@ -151,25 +158,28 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _witness(g: Graph, p: PathVerts, i: int, j: int) -> ChordingWitness:
+    """The three detours of subpath (i,j) of p in g, re-validated."""
+    a, b = p[i], p[j]
+    banned = (a, b) if j == i + 1 else None
+    fan = _flow_paths(g._adj, a, b, 3, _off_path(g.n, p) | (1 << a) | (1 << b), banned)
+    witness = ChordingWitness(p, (a, b), tuple(tuple(q) for q in fan[:3]))
+    if not verify_witness(g, witness):
+        raise RuntimeError(f"chording witness {witness} failed re-validation")
+    return witness
+
+
+def _chording_witness(g: Graph, p: PathVerts) -> Optional[ChordingWitness]:
+    levels = _fan_levels(g, p)
+    if 3 not in levels:
+        return None
+    i, j = next(itertools.islice(_subpaths(p), levels.index(3), None))
+    return _witness(g, p, i, j)
+
+
 def classify_quasi_3cc(g: Graph, path: Sequence[int]) -> Optional[ChordingWitness]:
     """A verified witness that the path is quasi 3-circuit chording, or None."""
-    p = validate_path(g, path)
-    levels = _fan_levels(g, p)
-    for (i, j), level in zip(_subpaths(p), levels):
-        if level < 3:
-            continue
-        a, b = p[i], p[j]
-        full = (1 << g.n) - 1
-        pmask = 0
-        for x in p:
-            pmask |= 1 << x
-        alive = (full & ~pmask) | (1 << a) | (1 << b)
-        banned = (a, b) if j == i + 1 else None
-        fan = _flow_paths(g._adj, a, b, 3, alive, banned)
-        witness = ChordingWitness(p, (a, b), tuple(tuple(q) for q in fan[:3]))
-        assert verify_witness(g, witness)
-        return witness
-    return None
+    return _chording_witness(g, validate_path(g, path))
 
 
 def verify_witness(g: Graph, w: ChordingWitness) -> bool:
@@ -207,24 +217,30 @@ def verify_witness(g: Graph, w: ChordingWitness) -> bool:
     return True
 
 
+def _check_missing_edge(g: Graph, e: Pair) -> None:
+    a, b = e
+    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
+        raise GraphError(f"bad edge ({a},{b})")
+    if g.has_edge(a, b):
+        raise GraphError(f"edge ({a},{b}) already present")
+
+
 def is_e_plus_quasi_3cc(g: Graph, path: Sequence[int], e: Pair) -> bool:
     """True iff the path is not quasi 3-circuit chording but becomes so in g+e."""
     p = validate_path(g, path)
-    a, b = e
-    if g.has_edge(a, b):
-        raise GraphError(f"edge ({a},{b}) already present")
-    if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-        raise GraphError(f"bad edge ({a},{b})")
+    _check_missing_edge(g, e)
     for x, y in zip(p, p[1:]):
-        if {x, y} == {a, b}:
+        if {x, y} == set(e):
             raise GraphError("the added edge may not be an edge of the path")
+    return _eplus_hits(g, p, e) is not None
+
+
+def _eplus_hits(g: Graph, p: PathVerts, e: Pair) -> Optional[ChordingWitness]:
+    """The verified witness in g+e for a path of g that is not quasi
+    3-circuit chording in g but is in g+e, or None."""
     levels = _fan_levels(g, p)
-    if any(lv >= 3 for lv in levels):
-        return False
-    return _eplus_hits(g, p, levels, e)
-
-
-def _eplus_hits(g: Graph, p: PathVerts, levels: Tuple[int, ...], e: Pair) -> bool:
+    if 3 in levels:
+        return None
     # adding one edge raises any local connectivity by at most 1, so only
     # subpaths currently at level 2 can reach 3; the edge must also survive
     # the deletion of the path remainder
@@ -232,26 +248,24 @@ def _eplus_hits(g: Graph, p: PathVerts, levels: Tuple[int, ...], e: Pair) -> boo
     adj2 = list(g._adj)
     adj2[a] |= 1 << b
     adj2[b] |= 1 << a
-    full = (1 << g.n) - 1
-    pmask = 0
-    for x in p:
-        pmask |= 1 << x
+    rest = _off_path(g.n, p)
     for (i, j), level in zip(_subpaths(p), levels):
         if level != 2:
             continue
         x, y = p[i], p[j]
-        alive = (full & ~pmask) | (1 << x) | (1 << y)
+        alive = rest | (1 << x) | (1 << y)
         if not (alive >> a & 1) or not (alive >> b & 1):
             continue
         banned = (x, y) if j == i + 1 else None
         if len(_flow_paths(adj2, x, y, 3, alive, banned)) >= 3:
-            return True
-    return False
+            return _witness(Graph(g.n, list(g.edges()) + [e]), p, i, j)
+    return None
 
 
-# -- existence queries over all u-v paths ------------------------------------
+# -- queries over all u-v paths -----------------------------------------------
 
-_verdicts: Dict[tuple, bool] = {}
+# query key -> the first (path, witness or arcs) in enumeration order, or None
+_verdicts: Dict[tuple, Optional[tuple]] = {}
 
 
 def clear_caches() -> None:
@@ -260,105 +274,47 @@ def clear_caches() -> None:
     _simple_paths.cache_clear()
 
 
-def _finish(key: tuple, found: bool, complete: bool, what: str):
-    if found:
-        _verdicts[key] = True
-        return True
-    if not complete:
-        raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
-    _verdicts[key] = False
-    return False
-
-
-def exists_quasi_3cc_path(g: Graph, u: int, v: int,
-                          budget: SearchBudget = DEFAULT_BUDGET) -> bool:
-    """Is some simple u-v path quasi 3-circuit chording in g?"""
-    key = ("q3cc", g, u, v)
+def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
+           hit: Callable[[PathVerts], object], what: str) -> Optional[tuple]:
+    """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
+    in enumeration order, or None when there is none; cached under key.  A
+    truncated sweep that found nothing raises BudgetExceeded."""
     if key in _verdicts:
         return _verdicts[key]
     paths, complete = _paths_for(g, u, v, budget)
-    found = any(any(lv >= 3 for lv in _fan_levels(g, p)) for p in paths)
-    return _finish(key, found, complete, f"quasi-3cc {u}-{v}")
-
-
-def exists_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
-                                 budget: SearchBudget = DEFAULT_BUDGET) -> bool:
-    """Is some simple u-v path of g an e-plus quasi 3-circuit chording path?"""
-    a, b = e
-    if g.has_edge(a, b):
-        raise GraphError(f"edge ({a},{b}) already present")
-    key = ("eplus", g, u, v, (min(a, b), max(a, b)))
-    if key in _verdicts:
-        return _verdicts[key]
-    paths, complete = _paths_for(g, u, v, budget)
-    found = False
+    found = None
     for p in paths:
-        levels = _fan_levels(g, p)
-        if any(lv >= 3 for lv in levels):
-            continue
-        if _eplus_hits(g, p, levels, e):
-            found = True
+        detail = hit(p)
+        if detail is not None:
+            found = p, detail
             break
-    return _finish(key, found, complete, f"e-plus quasi-3cc {u}-{v}")
+    else:
+        if not complete:
+            raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
+    _verdicts[key] = found
+    return found
 
 
 def find_quasi_3cc_path(g: Graph, u: int, v: int,
                         budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness) pair in enumeration order, or None."""
-    paths, complete = _paths_for(g, u, v, budget)
-    for p in paths:
-        w = classify_quasi_3cc(g, p)
-        if w is not None:
-            return p, w
-    if not complete:
-        raise BudgetExceeded(f"quasi-3cc witness sweep {u}-{v} truncated")
-    return None
+    return _sweep(("q3cc", g, u, v), g, u, v, budget,
+                  functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}")
 
 
 def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
                                budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness-in-g+e) pair in enumeration order, or None."""
+    _check_missing_edge(g, e)
     a, b = e
-    if g.has_edge(a, b):
-        raise GraphError(f"edge ({a},{b}) already present")
-    gplus = Graph(g.n, list(g.edges()) + [(a, b)])
-    paths, complete = _paths_for(g, u, v, budget)
-    for p in paths:
-        if any(lv >= 3 for lv in _fan_levels(g, p)):
-            continue
-        w = classify_quasi_3cc(gplus, p)
-        if w is not None:
-            return p, w
-    if not complete:
-        raise BudgetExceeded(f"e-plus witness sweep {u}-{v} truncated")
-    return None
+    return _sweep(("eplus", g, u, v, (min(a, b), max(a, b))), g, u, v, budget,
+                  lambda p: _eplus_hits(g, p, e), f"e-plus quasi-3cc {u}-{v}")
 
 
 def find_quasi_chord(g: Graph, u: int, v: int,
                      budget: SearchBudget = DEFAULT_BUDGET,
                      strict: bool = False):
-    """First (path, cycle-as-two-arcs) making a quasi chord, or None."""
-    if strict and g.has_edge(u, v):
-        return None
-    paths, complete = _paths_for(g, u, v, budget)
-    full = (1 << g.n) - 1
-    for p in paths:
-        interior = 0
-        for x in p[1:-1]:
-            interior |= 1 << x
-        alive = full & ~interior
-        arcs = _flow_paths(g._adj, u, v, 2, alive, (u, v))
-        if len(arcs) >= 2:
-            return p, (tuple(arcs[0]), tuple(arcs[1]))
-    if not complete:
-        raise BudgetExceeded(f"quasi chord sweep {u}-{v} truncated")
-    return None
-
-
-def exists_quasi_chord(g: Graph, u: int, v: int,
-                       budget: SearchBudget = DEFAULT_BUDGET,
-                       strict: bool = False) -> bool:
-    """Is some simple u-v path a quasi chord of some cycle of g?
+    """First (path, cycle-as-two-arcs) making a quasi chord, or None.
 
     Default reading: the cycle passes through u and v non-consecutively.
     With strict=True, u and v must additionally be non-adjacent in g.
@@ -366,20 +322,30 @@ def exists_quasi_chord(g: Graph, u: int, v: int,
     if u == v:
         raise GraphError("quasi chord endpoints must differ")
     if strict and g.has_edge(u, v):
-        return False
-    key = ("qchord", g, u, v, strict)
-    if key in _verdicts:
-        return _verdicts[key]
-    paths, complete = _paths_for(g, u, v, budget)
-    full = (1 << g.n) - 1
-    found = False
-    for p in paths:
-        interior = 0
-        for x in p[1:-1]:
-            interior |= 1 << x
-        alive = full & ~interior
+        return None
+
+    def arcs(p):
         # a suitable cycle = two internally-disjoint u-v paths of length >= 2
-        if len(_flow_paths(g._adj, u, v, 2, alive, (u, v))) >= 2:
-            found = True
-            break
-    return _finish(key, found, complete, f"quasi chord {u}-{v}")
+        found = _flow_paths(g._adj, u, v, 2, _off_path(g.n, p) | (1 << u) | (1 << v), (u, v))
+        return (tuple(found[0]), tuple(found[1])) if len(found) >= 2 else None
+    return _sweep(("qchord", g, u, v, strict), g, u, v, budget, arcs, f"quasi chord {u}-{v}")
+
+
+def exists_quasi_3cc_path(g: Graph, u: int, v: int,
+                          budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+    """Is some simple u-v path quasi 3-circuit chording in g?"""
+    return find_quasi_3cc_path(g, u, v, budget) is not None
+
+
+def exists_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
+                                 budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+    """Is some simple u-v path of g an e-plus quasi 3-circuit chording path?"""
+    return find_e_plus_quasi_3cc_path(g, u, v, e, budget) is not None
+
+
+def exists_quasi_chord(g: Graph, u: int, v: int,
+                       budget: SearchBudget = DEFAULT_BUDGET,
+                       strict: bool = False) -> bool:
+    """Is some simple u-v path a quasi chord of some cycle of g?  See
+    find_quasi_chord for the two readings."""
+    return find_quasi_chord(g, u, v, budget, strict) is not None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Tuple
 
@@ -281,9 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--human", action="store_true", help="plain-text output")
         p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths)
         p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("UNICON4_THREADS", "1")),
-                       help="parallelism hint (current implementation is sequential)")
 
     common(sub.add_parser("analyze", help="connectivity report and uniform-4 verdict"))
     common(sub.add_parser("removable", help="removability of every edge"))

@@ -263,7 +263,8 @@ def is_uniformly_4_connected(g: Graph) -> Tuple[bool, Optional[Witness]]:
                 continue
             if _local_conn(g._adj, g.n, u, v, 5) >= 5:
                 fan = disjoint_path_fan(g, u, v, 5)
-                assert fan is not None
+                if fan is None:
+                    raise RuntimeError(f"no five-fan for pair ({u},{v}) of local connectivity >= 5")
                 return False, FanWitness((u, v), fan)
     return True, None
 

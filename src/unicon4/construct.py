@@ -242,10 +242,12 @@ def decompose(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> ConstructionTr
             except DecompositionError:
                 continue
             iso = find_isomorphism(host, rebuilt)
-            assert iso is not None
+            if iso is None:
+                raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
             out = apply_delta(rebuilt, moved)
-            assert canonical_cert(out) == cert
+            if canonical_cert(out) != cert:
+                raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
             return tag, steps, out
         raise DecompositionError(f"no uniformly 4-connected parent found for {cur!r}")

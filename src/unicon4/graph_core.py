@@ -339,7 +339,8 @@ class _CanonSearch:
     def run(self) -> Tuple[int, ...]:
         cells = _refine(self.adj, [(1 << self.n) - 1]) if self.n else []
         self._descend(cells, [])
-        assert self.best_order is not None
+        if self.best_order is None:
+            raise RuntimeError("canonical search reached no leaf")
         return self.best_order
 
     def _descend(self, cells: List[int], fixed: List[int]) -> None:
@@ -412,7 +413,8 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Dict[int, int]]:
         return None
     pos_g = {old: i for i, old in enumerate(og)}
     mapping = {v: oh[pos_g[v]] for v in range(g.n)}
-    assert all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges())
+    if not all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges()):
+        raise RuntimeError("equal certificates gave a map that is not an isomorphism")
     return mapping
 
 

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
-from .connectivity import ends, is_k_connected, vertex_connectivity
+from .connectivity import _components, ends, is_k_connected, vertex_connectivity
 from .graph_core import Graph, GraphError, add_vertex_with_neighbors, remove_edges
 
 Pair = Tuple[int, int]
@@ -151,37 +151,16 @@ def is_removable_structural(g: Graph, e: Pair) -> bool:
         alive = full
         for c in s:
             alive &= ~(1 << c)
-        comps = _mask_components(adj, alive)
+        comps = _components(adj, alive)
         if len(comps) != 2:
             continue
         cx = next(c for c in comps if c >> x & 1)
         cy = next(c for c in comps if c >> y & 1)
-        if cx is cy:
+        if cx == cy:
             continue
         if bin(cx).count("1") >= 2 and bin(cy).count("1") >= 2:
             return False
     return True
-
-
-def _mask_components(adj, alive: int) -> List[int]:
-    comps = []
-    rest = alive
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grow |= adj[low.bit_length() - 1]
-                m ^= low
-            grow &= alive & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def removable_edges(g: Graph) -> List[Pair]:
@@ -213,14 +192,26 @@ def _check_edge_subset(h: Graph, xs, picked, label: str) -> None:
         raise SpecInvalid(f"{label}-subset", f"edges {bad} are not host edges inside {xs}")
 
 
+def _shape_check_1(h: Graph, spec: Delta1Spec) -> None:
+    _check_triple(h, spec.x_set, "x_set")
+    if not 0 <= spec.y_vertex < h.n or spec.y_vertex in spec.x_set:
+        raise SpecInvalid("y-outside-x", f"attachment vertex {spec.y_vertex} must lie outside {spec.x_set}")
+    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
+
+
+def _shape_check_2(h: Graph, spec: Delta2Spec) -> None:
+    _check_triple(h, spec.x_set, "x_set")
+    _check_triple(h, spec.y_set, "y_set")
+    if len(set(spec.x_set) & set(spec.y_set)) > 2:
+        raise SpecInvalid("x-y-overlap", "the 3-sets may share at most 2 vertices")
+    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
+    _check_edge_subset(h, spec.y_set, spec.ey_edges, "ey")
+
+
 def validate_delta1(h: Graph, spec: Delta1Spec) -> None:
     if not is_k_connected(h, 4):
         raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
-    _check_triple(h, spec.x_set, "x_set")
-    y = spec.y_vertex
-    if not 0 <= y < h.n or y in spec.x_set:
-        raise SpecInvalid("y-outside-x", f"attachment vertex {y} must lie outside {spec.x_set}")
-    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
+    _shape_check_1(h, spec)
     # the reduced host equals the expansion minus its new vertex, so one
     # connectivity computation covers both stated quantities
     if vertex_connectivity(remove_edges(h, spec.ex_edges)) < 3:
@@ -236,12 +227,7 @@ def apply_delta1(h: Graph, spec: Delta1Spec) -> Graph:
 def validate_delta2(h: Graph, spec: Delta2Spec) -> None:
     if not is_k_connected(h, 4):
         raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
-    _check_triple(h, spec.x_set, "x_set")
-    _check_triple(h, spec.y_set, "y_set")
-    if len(set(spec.x_set) & set(spec.y_set)) > 2:
-        raise SpecInvalid("x-y-overlap", "the 3-sets may share at most 2 vertices")
-    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
-    _check_edge_subset(h, spec.y_set, spec.ey_edges, "ey")
+    _shape_check_2(h, spec)
     reduced = remove_edges(h, set(spec.ex_edges) | set(spec.ey_edges))
     kappa = vertex_connectivity(reduced)
     if kappa < 2:
@@ -282,30 +268,11 @@ def _triangle(xs) -> Tuple[Pair, ...]:
     return tuple(itertools.combinations(sorted(xs), 2))
 
 
-def _shape_check_1(h: Graph, spec: Delta1Spec) -> None:
-    _check_triple(h, spec.x_set, "x_set")
-    if not 0 <= spec.y_vertex < h.n or spec.y_vertex in spec.x_set:
-        raise SpecInvalid("y-outside-x", f"attachment vertex {spec.y_vertex} must lie outside {spec.x_set}")
-    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
-
-
-def _shape_check_2(h: Graph, spec: Delta2Spec) -> None:
-    _check_triple(h, spec.x_set, "x_set")
-    _check_triple(h, spec.y_set, "y_set")
-    if len(set(spec.x_set) & set(spec.y_set)) > 2:
-        raise SpecInvalid("x-y-overlap", "the 3-sets may share at most 2 vertices")
-    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
-    _check_edge_subset(h, spec.y_set, spec.ey_edges, "ey")
-
-
 def _q3cc_violation(reduced: Graph, pair: Pair, budget: SearchBudget) -> Optional[CompatViolation]:
-    u, v = pair
-    if not chording.exists_quasi_3cc_path(reduced, u, v, budget):
+    found = chording.find_quasi_3cc_path(reduced, pair[0], pair[1], budget)
+    if found is None:
         return None
-    found = chording.find_quasi_3cc_path(reduced, u, v, budget)
-    assert found is not None
     path, witness = found
-    assert chording.verify_witness(reduced, witness)
     return CompatViolation(pair, "quasi_3cc", None, path, witness)
 
 
@@ -353,9 +320,8 @@ def _compat_type2(h: Graph, spec: Delta2Spec, budget: SearchBudget) -> CompatRep
             return CompatReport(False, hit)
     if len(xs & ys) == 2:
         u, v = sorted(xs & ys)
-        if chording.exists_quasi_chord(reduced, u, v, budget):
-            found = chording.find_quasi_chord(reduced, u, v, budget)
-            assert found is not None
+        found = chording.find_quasi_chord(reduced, u, v, budget)
+        if found is not None:
             path, arcs = found
             return CompatReport(False, CompatViolation((u, v), "quasi_chord", None, path, arcs))
 
@@ -371,9 +337,8 @@ def _compat_type2(h: Graph, spec: Delta2Spec, budget: SearchBudget) -> CompatRep
         addable = [e for e in _triangle(other_set) if not reduced.has_edge(*e)]
         for e1 in kept:
             for e in addable:
-                if chording.exists_e_plus_quasi_3cc_path(reduced, e1[0], e1[1], e, budget):
-                    found = chording.find_e_plus_quasi_3cc_path(reduced, e1[0], e1[1], e, budget)
-                    assert found is not None
+                found = chording.find_e_plus_quasi_3cc_path(reduced, e1[0], e1[1], e, budget)
+                if found is not None:
                     path, witness = found
                     return CompatReport(False, CompatViolation(e1, "e_plus_quasi_3cc", e, path, witness))
     return CompatReport(True, None)

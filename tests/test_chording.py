@@ -54,6 +54,12 @@ class TestClassify:
         w = classify_quasi_3cc(octahedron(), (0, 1))
         assert w is not None and verify_witness(octahedron(), w)
 
+    def test_failed_revalidation_raises(self, monkeypatch):
+        # the guard is an explicit raise, so it survives python -O
+        monkeypatch.setattr(chording, "verify_witness", lambda g, w: False)
+        with pytest.raises(RuntimeError):
+            classify_quasi_3cc(complete_graph(5), (0, 1))
+
     def test_plain_cycle_has_none(self):
         g = cycle_graph(6)
         for u in range(6):
@@ -176,10 +182,17 @@ class TestEPlus:
                 continue
             e = rng.choice(missing)
             u, v = rng.sample(range(n), 2)
+            gplus = Graph(n, list(g.edges()) + [e])
             want = any(classify_quasi_3cc(g, p) is None
-                       and classify_quasi_3cc(Graph(n, list(g.edges()) + [e]), p) is not None
+                       and classify_quasi_3cc(gplus, p) is not None
                        for p in reference.all_simple_paths(g, u, v))
             assert exists_e_plus_quasi_3cc_path(g, u, v, e) == want
+            found = chording.find_e_plus_quasi_3cc_path(g, u, v, e)
+            assert (found is not None) == want
+            if found is not None:
+                path, witness = found
+                assert verify_witness(gplus, witness)
+                assert classify_quasi_3cc(g, path) is None
 
 
 class TestQuasiChord:

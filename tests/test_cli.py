@@ -204,8 +204,3 @@ class TestOutputContract:
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema"] == "unicon4.report/v1"
             assert doc["command"] == argv[0]
-
-    def test_threads_flag_accepted(self, capsys, files, monkeypatch):
-        monkeypatch.setenv("UNICON4_THREADS", "4")
-        code, doc = run(capsys, "analyze", files["c6sq"], "--threads", "2")
-        assert code == 0

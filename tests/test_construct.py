@@ -85,7 +85,8 @@ class TestOracle:
         for name in ("apply_delta1", "apply_delta2", "reduce_edge", "is_quasi_4_compatible"):
             monkeypatch.setattr(transform, name, boom)
         for name in ("exists_quasi_3cc_path", "classify_quasi_3cc",
-                     "exists_e_plus_quasi_3cc_path", "exists_quasi_chord"):
+                     "exists_e_plus_quasi_3cc_path", "exists_quasi_chord",
+                     "find_quasi_3cc_path", "find_e_plus_quasi_3cc_path", "find_quasi_chord"):
             monkeypatch.setattr(chording, name, boom)
         construct._oracle_cache.pop(6, None)
         try:
@@ -153,6 +154,13 @@ class TestGenerate:
 
 
 class TestDecompose:
+    def test_failed_rebuild_raises(self, monkeypatch):
+        # an explicit RuntimeError, not a DecompositionError that the
+        # candidate search would swallow, and not an assert lost under -O
+        monkeypatch.setattr(construct, "find_isomorphism", lambda g, h: None)
+        with pytest.raises(RuntimeError):
+            decompose(square_of_cycle(7))
+
     def test_bases_give_empty_traces(self):
         for tag, g in (("C5SQ", square_of_cycle(5)), ("C6SQ", square_of_cycle(6))):
             trace = decompose(g)

@@ -299,6 +299,19 @@ class TestCompat:
         assert rep.compatible == by_enumeration
         assert rep.compatible == is_uniformly_4_connected(apply_delta1(h, spec))[0]
 
+    def test_repeat_query_reuses_the_cached_witness(self):
+        # one sweep per predicate: the repeat is answered from the verdict
+        # cache, with the very witness the first sweep built
+        chording.clear_caches()
+        h, spec = octahedron(), Delta1Spec((0, 1, 2), 4, [(0, 2)])
+        first = is_quasi_4_compatible(h, spec)
+        assert not first.compatible
+        info = chording._simple_paths.cache_info()
+        second = is_quasi_4_compatible(h, spec)
+        after = chording._simple_paths.cache_info()
+        assert second.violation.detail is first.violation.detail
+        assert after.hits + after.misses == info.hits + info.misses
+
     def test_budget_propagates(self):
         h = square_of_cycle(7)
         with pytest.raises(chording.BudgetExceeded):
