@@ -15,15 +15,14 @@ from typing import Optional, Tuple
 
 from . import __version__
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
-from .connectivity import (CutWitness, FanWitness, connectivity_report,
-                           vertex_connectivity)
+from .connectivity import CutWitness, FanWitness, connectivity_report, is_k_connected
 from .construct import (CertMismatch, DecompositionError, NotUniform, StepInvalid,
                         TraceFormatError, decompose, generate_catalog, replay,
                         trace_from_json, trace_to_json, verify_theorem)
 from .graph_core import (FormatError, Graph, GraphError, canonical_cert, format_edge_list,
                          format_graph6, parse_edge_list, parse_graph6, to_dot)
-from .transform import (Delta1Spec, Delta2Spec, SpecInvalid, apply_delta, is_quasi_4_compatible,
-                        is_removable, is_removable_structural, reduce_edge)
+from .transform import (Delta1Spec, Delta2Spec, SpecInvalid, _removable, _separated, apply_delta,
+                        is_quasi_4_compatible, reduce_edge)
 
 SCHEMA = "unicon4.report/v1"
 
@@ -128,16 +127,14 @@ def _cmd_analyze(args) -> Tuple[dict, int]:
 
 def _cmd_removable(args) -> Tuple[dict, int]:
     g = _load_graph(args.path, args.format)
-    if vertex_connectivity(g) < 4:
+    if not is_k_connected(g, 4):
         raise GraphError("removability is defined on 4-connected graphs")
+    # the input is checked once here, so every edge goes to the helpers
+    # that skip the public functions' per-call check
     rows = []
-    for e in g.edges():
-        row = {"edge": list(e), "removable": is_removable(g, e)}
-        if g.n >= 7:
-            row["structural"] = is_removable_structural(g, e)
-        else:
-            row["structural"] = None
-        rows.append(row)
+    for x, y in g.edges():
+        rows.append({"edge": [x, y], "removable": _removable(g, x, y),
+                     "structural": not _separated(g, x, y) if g.n >= 7 else None})
     payload = {"schema": SCHEMA, "command": "removable",
                "edges": rows, "removable_count": sum(r["removable"] for r in rows)}
     return payload, OK

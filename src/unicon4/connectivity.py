@@ -4,13 +4,20 @@ test with explicit witnesses, and minimum-cut / fragment / end machinery.
 
 Everything here is exact and deterministic; graphs are desk scale (n <= 16)
 so exhaustive cut sweeps are deliberate, not an oversight.
+
+The flow kernel keeps its residual as per-vertex bitmasks and explores it
+breadth first in increasing vertex order, so the paths it returns, and the
+witnesses built from them, depend on the graph alone; a test pins them.
+Global connectivity probes only the pairs of `_probe_pairs`: a minimum
+cut either misses a vertex v of minimum degree and separates it from a
+non-neighbour, or contains v and separates two neighbours of v.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .graph_core import Graph, GraphError, _mask_bits
 
@@ -61,88 +68,104 @@ def _flow_paths(adj: Sequence[int], s: int, t: int, limit: int,
 
     Stops after `limit` paths.  `alive` masks usable vertices (must include
     s and t); `banned` suppresses one undirected edge.
+
+    Each vertex v splits into in(v) and out(v).  The residual is kept as
+    bitmasks: fout[a] has bit b and fin[b] has bit a while the arc
+    out(a) -> in(b) carries flow, and `through` marks the interior vertices
+    whose in(v) -> out(v) arc does.  Every augmentation is one breadth-first
+    search over the residual, visiting neighbours in increasing order; a
+    vertex of a path carries one unit, so fin[v] names the one arc to cancel.
+    The paths and their order are part of the contract, since witnesses are
+    built from them: test_flow_paths_order_is_pinned fixes them.
     """
+    n = len(adj)
     bu, bv = banned if banned is not None else (-1, -1)
-    vert_used = 0  # mask of interior vertices carrying flow
-    edge_flow: Dict[Pair, int] = {}  # directed (u,v) -> 1
-
-    def residual_bfs() -> Optional[List[Pair]]:
-        # nodes: ("out", u) and ("in", v) encoded as (u, 1) / (v, 0)
-        start = (s, 1)
-        prev: Dict[Tuple[int, int], Tuple[int, int]] = {start: start}
-        queue = [start]
-        while queue:
-            nxt = []
-            for node in queue:
-                v, side = node
-                if side == 1:  # out(v): cross an edge, or cancel v's vertex flow
-                    nbrs = adj[v] & alive
-                    for w in _mask_bits(nbrs):
-                        if (v, w) in edge_flow:
-                            continue
-                        if v == bu and w == bv or v == bv and w == bu:
-                            continue
-                        tgt = (w, 0)
-                        if tgt not in prev:
-                            prev[tgt] = node
-                            if w == t:
-                                # walk back to a node sequence
-                                seq = [tgt]
-                                while seq[-1] != start:
-                                    seq.append(prev[seq[-1]])
-                                seq.reverse()
-                                return seq
-                            nxt.append(tgt)
-                    if vert_used >> v & 1:
-                        tgt = (v, 0)
-                        if tgt not in prev:
-                            prev[tgt] = node
-                            nxt.append(tgt)
-                else:  # in(v): pass through v, or cancel an incoming edge flow
-                    if not vert_used >> v & 1:
-                        tgt = (v, 1)
-                        if tgt not in prev:
-                            prev[tgt] = node
-                            nxt.append(tgt)
-                    for (a, b) in edge_flow:
-                        if b == v:
-                            tgt = (a, 1)
-                            if tgt not in prev:
-                                prev[tgt] = node
-                                nxt.append(tgt)
-            queue = nxt
-        return None
-
+    fout = [0] * n
+    fin = [0] * n
+    through = 0
+    # a node is v << 1 for in(v) and v << 1 | 1 for out(v)
+    start = s << 1 | 1
     count = 0
     while count < limit:
-        seq = residual_bfs()
-        if seq is None:
+        prev = [-1] * (2 * n)
+        seen_in, seen_out = 0, 1 << s
+        queue = [start]
+        found = False
+        while queue and not found:
+            nxt = []
+            for node in queue:
+                v = node >> 1
+                if node & 1:  # out(v): cross an edge, or cancel v's pass-through
+                    step = adj[v] & alive & ~fout[v] & ~seen_in
+                    if v == bu:
+                        step &= ~(1 << bv)
+                    elif v == bv:
+                        step &= ~(1 << bu)
+                    while step:
+                        low = step & -step
+                        step ^= low
+                        w = low.bit_length() - 1
+                        seen_in |= low
+                        prev[w << 1] = node
+                        if w == t:
+                            found = True
+                            break
+                        nxt.append(w << 1)
+                    if found:
+                        break
+                    if through >> v & 1 and not seen_in >> v & 1:
+                        seen_in |= 1 << v
+                        prev[v << 1] = node
+                        nxt.append(v << 1)
+                else:  # in(v): pass through v, or cancel the flow into v
+                    if not (through | seen_out) >> v & 1:
+                        seen_out |= 1 << v
+                        prev[node | 1] = node
+                        nxt.append(node | 1)
+                    step = fin[v] & ~seen_out
+                    while step:
+                        low = step & -step
+                        step ^= low
+                        a = low.bit_length() - 1
+                        seen_out |= low
+                        prev[a << 1 | 1] = node
+                        nxt.append(a << 1 | 1)
+            queue = nxt
+        if not found:
             break
         count += 1
+        seq = [t << 1]
+        while seq[-1] != start:
+            seq.append(prev[seq[-1]])
+        seq.reverse()
         # apply: toggle arcs along the alternating node sequence
-        for (a, sa), (b, sb) in zip(seq, seq[1:]):
-            if sa == 1:  # out(a) -> in(b)
+        for x, y in zip(seq, seq[1:]):
+            a, b = x >> 1, y >> 1
+            if x & 1:  # out(a) -> in(b)
                 if a == b:
-                    vert_used &= ~(1 << a)  # cancel a's pass-through
-                elif (b, a) in edge_flow:
-                    del edge_flow[(b, a)]
+                    through &= ~(1 << a)  # cancel a's pass-through
+                elif fout[b] >> a & 1:
+                    fout[b] &= ~(1 << a)
+                    fin[a] &= ~(1 << b)
                 else:
-                    edge_flow[(a, b)] = 1
-            else:  # in(a) -> out(b)
-                if a == b:
-                    vert_used |= 1 << a
-                else:
-                    del edge_flow[(b, a)]
+                    fout[a] |= 1 << b
+                    fin[b] |= 1 << a
+            elif a == b:  # in(a) -> out(a)
+                through |= 1 << a
+            else:  # in(a) -> out(b) cancels the flow on out(b) -> in(a)
+                fout[b] &= ~(1 << a)
+                fin[a] &= ~(1 << b)
 
     # decompose into vertex paths
     paths = []
-    starts = [w for (a, w) in edge_flow if a == s]
-    for w in sorted(starts):
+    for w in _mask_bits(fout[s]):
         path = [s, w]
-        while path[-1] != t:
-            cur = path[-1]
-            nxt = next(b for (a, b) in edge_flow if a == cur)
-            path.append(nxt)
+        while w != t:
+            rest = fout[w]
+            if not rest:
+                raise RuntimeError(f"flow from {s} to {t} stops at vertex {w}")
+            w = (rest & -rest).bit_length() - 1
+            path.append(w)
         paths.append(path)
     return paths
 
@@ -191,6 +214,25 @@ def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> Optional[Tuple[Tuple[
     return tuple(tuple(p) for p in paths)
 
 
+def _probe_pairs(g: Graph):
+    """The non-adjacent pairs whose least local connectivity is kappa(g).
+
+    With v a vertex of minimum degree: v against each non-neighbour, then
+    each non-adjacent pair inside N(v) (Esfahanian and Hakimi 1984).  A
+    minimum cut S either misses v, and then separates v from some
+    non-neighbour, or contains v, and then v has neighbours in two
+    components of g - S.  g must not be complete.
+    """
+    full = (1 << g.n) - 1
+    v = min(range(g.n), key=g.degree)
+    hood = g.adj_mask(v)
+    for w in _mask_bits(full & ~hood & ~(1 << v)):
+        yield v, w
+    for a in _mask_bits(hood):
+        for b in _mask_bits(hood & ~g.adj_mask(a) & ~((2 << a) - 1)):
+            yield a, b
+
+
 def vertex_connectivity(g: Graph) -> int:
     """Global vertex connectivity; n-1 for complete graphs by convention."""
     if g.n < 2:
@@ -198,14 +240,10 @@ def vertex_connectivity(g: Graph) -> int:
     if g.is_complete():
         return g.n - 1
     best = g.n
-    for u in range(g.n):
-        nonadj = ~g.adj_mask(u) & ((1 << g.n) - 1) & ~(1 << u)
-        for v in _mask_bits(nonadj):
-            if v <= u:
-                continue
-            best = min(best, _local_conn(g._adj, g.n, u, v, best))
-            if best == 0:
-                return 0
+    for u, v in _probe_pairs(g):
+        best = min(best, _local_conn(g._adj, g.n, u, v, best))
+        if best == 0:
+            return 0
     return best
 
 
@@ -216,12 +254,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if g.is_complete():
         return True
-    for u in range(g.n):
-        nonadj = ~g.adj_mask(u) & ((1 << g.n) - 1) & ~(1 << u)
-        for v in _mask_bits(nonadj):
-            if v > u and _local_conn(g._adj, g.n, u, v, k) < k:
-                return False
-    return True
+    return all(_local_conn(g._adj, g.n, u, v, k) >= k for u, v in _probe_pairs(g))
 
 
 def _components(adj: Sequence[int], alive: int) -> List[int]:
@@ -271,31 +304,42 @@ def is_uniformly_4_connected(g: Graph) -> Tuple[bool, Optional[Witness]]:
 
 def _some_small_cut(g: Graph, below: int) -> frozenset:
     """A vertex cut of size < below; assumes one exists."""
-    full = (1 << g.n) - 1
     for size in range(below):
-        for cut in itertools.combinations(range(g.n), size):
-            alive = full
-            for c in cut:
-                alive &= ~(1 << c)
-            if len(_components(g._adj, alive)) > 1:
-                return frozenset(cut)
-    raise AssertionError("no cut found below the requested size")
+        for cut, _ in _cuts_of_size(g, size):
+            return cut
+    raise RuntimeError("no cut found below the requested size")
+
+
+def _cuts_of_size(g: Graph, size: int):
+    """Every vertex cut of the given size, each with the component masks of
+    g minus it, exhaustively and in lexicographic order."""
+    full = (1 << g.n) - 1
+    for cut in itertools.combinations(range(g.n), size):
+        alive = full
+        for c in cut:
+            alive &= ~(1 << c)
+        comps = _components(g._adj, alive)
+        if len(comps) > 1:
+            yield frozenset(cut), comps
 
 
 def minimum_cuts(g: Graph) -> List[frozenset]:
     """Every vertex cut of minimum size, exhaustively."""
     if g.is_complete():
         raise GraphError("complete graphs have no vertex cut")
-    kappa = vertex_connectivity(g)
-    full = (1 << g.n) - 1
-    cuts = []
-    for cut in itertools.combinations(range(g.n), kappa):
-        alive = full
-        for c in cut:
-            alive &= ~(1 << c)
-        if len(_components(g._adj, alive)) > 1:
-            cuts.append(frozenset(cut))
-    return cuts
+    return [cut for cut, _ in _cuts_of_size(g, vertex_connectivity(g))]
+
+
+def _fragments(cut: frozenset, comps: List[int]) -> List[Fragment]:
+    out = []
+    for r in range(1, len(comps)):
+        for pick in itertools.combinations(comps, r):
+            body = 0
+            for m in pick:
+                body |= m
+            out.append(Fragment(cut, frozenset(_mask_bits(body))))
+    out.sort(key=lambda f: sorted(f.body))
+    return out
 
 
 def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
@@ -309,22 +353,16 @@ def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
     comps = _components(g._adj, alive)
     if len(comps) < 2:
         raise GraphError("given set is not a vertex cut")
-    out = []
-    for r in range(1, len(comps)):
-        for pick in itertools.combinations(comps, r):
-            body = 0
-            for m in pick:
-                body |= m
-            out.append(Fragment(cut, frozenset(_mask_bits(body))))
-    out.sort(key=lambda f: sorted(f.body))
-    return out
+    return _fragments(cut, comps)
 
 
 def ends(g: Graph) -> List[End]:
     """Inclusion-minimal fragment bodies over all minimum cuts."""
+    if g.is_complete():
+        raise GraphError("complete graphs have no vertex cut")
     frags = []
-    for cut in minimum_cuts(g):
-        frags.extend(fragments(g, cut))
+    for cut, comps in _cuts_of_size(g, vertex_connectivity(g)):
+        frags.extend(_fragments(cut, comps))
     bodies = {f.body for f in frags}
     minimal = [b for b in bodies if not any(o < b for o in bodies)]
     out = []
@@ -343,7 +381,9 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
         for v in range(u + 1, g.n):
             k = _local_conn(g._adj, g.n, u, v, g.n)
             local[u][v] = local[v][u] = k
-    kappa = vertex_connectivity(g)
+    # kappa is the least local connectivity over non-adjacent pairs
+    kappa = min((local[u][v] for u in range(g.n) for v in range(u + 1, g.n)
+                 if not g.has_edge(u, v)), default=g.n - 1)
     if g.n >= 5:
         uniform, witness = is_uniformly_4_connected(g)
     else:

@@ -92,6 +92,16 @@ class CompatReport:
 # -- reduction and removability ----------------------------------------------
 
 
+def _checked_edge(g: Graph, e: Pair) -> Pair:
+    """e as x < y, once e is an edge of g and g is 4-connected."""
+    x, y = min(e), max(e)
+    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
+        raise GraphError(f"edge ({x},{y}) not in graph")
+    if not is_k_connected(g, 4):
+        raise GraphError("reduction is defined on 4-connected graphs")
+    return x, y
+
+
 def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
     """Delete the edge; an endpoint left with degree 3 is deleted and its
     neighborhood completed into a clique.  Lower-id endpoint first (the
@@ -100,15 +110,14 @@ def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
     Returns the reduced graph with dense ids plus the old-to-new map;
     deleted endpoints are absent from the map.
     """
-    x, y = min(e), max(e)
-    if not (0 <= x < g.n and 0 <= y < g.n) or not g.has_edge(x, y):
-        raise GraphError(f"edge ({x},{y}) not in graph")
-    if not is_k_connected(g, 4):
-        raise GraphError("reduction is defined on 4-connected graphs")
+    return _reduce(g, *_checked_edge(g, e))
+
+
+def _reduce(g: Graph, x: int, y: int) -> Tuple[Graph, Dict[int, int]]:
+    """reduce_edge for an edge x < y of a graph known to be 4-connected."""
     nbrs = {v: set(g.neighbors(v)) for v in range(g.n)}
     nbrs[x].discard(y)
     nbrs[y].discard(x)
-    removed = set()
     for w in (x, y):
         if len(nbrs[w]) != 3:
             continue
@@ -116,7 +125,6 @@ def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
         for v in hood:
             nbrs[v].discard(w)
         del nbrs[w]
-        removed.add(w)
         for a, b in itertools.combinations(hood, 2):
             nbrs[a].add(b)
             nbrs[b].add(a)
@@ -126,10 +134,15 @@ def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
     return Graph(len(keep), edges), remap
 
 
+def _removable(g: Graph, x: int, y: int) -> bool:
+    """is_removable for an edge x < y of a graph known to be 4-connected."""
+    h, _ = _reduce(g, x, y)
+    return h.n >= 5 and is_k_connected(h, 4)
+
+
 def is_removable(g: Graph, e: Pair) -> bool:
     """Direct form: the reduction stays 4-connected (and big enough)."""
-    h, _ = reduce_edge(g, e)
-    return h.n >= 5 and is_k_connected(h, 4)
+    return _removable(g, *_checked_edge(g, e))
 
 
 def is_removable_structural(g: Graph, e: Pair) -> bool:
@@ -142,6 +155,12 @@ def is_removable_structural(g: Graph, e: Pair) -> bool:
     x, y = min(e), max(e)
     if not g.has_edge(x, y):
         raise GraphError(f"edge ({x},{y}) not in graph")
+    return not _separated(g, x, y)
+
+
+def _separated(g: Graph, x: int, y: int) -> bool:
+    """Whether some 3-set splits g - xy as is_removable_structural describes,
+    for an edge x < y of a 4-connected graph on at least 7 vertices."""
     others = [v for v in range(g.n) if v not in (x, y)]
     adj = list(g._adj)
     adj[x] &= ~(1 << y)
@@ -159,12 +178,15 @@ def is_removable_structural(g: Graph, e: Pair) -> bool:
         if cx == cy:
             continue
         if bin(cx).count("1") >= 2 and bin(cy).count("1") >= 2:
-            return False
-    return True
+            return True
+    return False
 
 
 def removable_edges(g: Graph) -> List[Pair]:
-    return [e for e in g.edges() if is_removable(g, e)]
+    edges = g.edges()
+    if edges and not is_k_connected(g, 4):
+        raise GraphError("reduction is defined on 4-connected graphs")
+    return [(x, y) for x, y in edges if _removable(g, x, y)]
 
 
 # -- the expansions -----------------------------------------------------------

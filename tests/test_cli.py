@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from unicon4 import (complete_graph, format_edge_list, format_graph6, k6_minus_edge,
                      octahedron, parse_edge_list, parse_graph6, square_of_cycle)
+from unicon4 import cli, connectivity, transform
 from unicon4.cli import main
 
 
@@ -75,6 +77,31 @@ class TestRemovable:
         p.write_text("n 3\n0 1\n1 2\n")
         code, doc = run(capsys, "removable", str(p))
         assert code == 2
+        assert doc["message"] == "removability is defined on 4-connected graphs"
+
+    def test_input_is_checked_once(self, capsys, monkeypatch, tmp_path):
+        # one 4-connectivity check of the input covers every edge; the
+        # reduced graphs are still checked one by one
+        g = square_of_cycle(16)
+        p = tmp_path / "c16sq.g6"
+        p.write_text(format_graph6(g) + "\n")
+        original = connectivity.is_k_connected
+        on_input = []
+
+        def counting(h, k):
+            on_input.append(h == g)
+            return original(h, k)
+
+        for module in (cli, connectivity, transform):
+            if getattr(module, "is_k_connected", None) is original:
+                monkeypatch.setattr(module, "is_k_connected", counting)
+        code = main(["removable", str(p)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sum(on_input) == 1 and len(on_input) == 1 + 32
+        # the report itself is unchanged, byte for byte
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fbbc6d51b52984a7f88553c9bc2ce5d7d1a0bda7870fcbdbae5e5a70a3d90544")
 
 
 class TestReduce:

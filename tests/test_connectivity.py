@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from unicon4 import (CutWitness, FanWitness, Graph, GraphError, add_edges, compl
                      is_k_connected, is_uniformly_4_connected, k6_minus_edge,
                      local_connectivity, minimum_cuts, octahedron, octahedron_plus,
                      square_of_cycle, vertex_connectivity)
+from unicon4.connectivity import _flow_paths
 
 import reference
 
@@ -68,6 +70,26 @@ class TestLocalConnectivity:
                 assert local_connectivity(bigger, u, v) >= local_connectivity(g, u, v)
 
 
+def test_flow_paths_order_is_pinned():
+    # the digest pins the exact paths, and their order, that the flow kernel
+    # returns; witnesses and fans are built from them, so a kernel rewrite
+    # must reproduce them, not merely their number
+    rng = random.Random(20251018)
+    out = []
+    for _ in range(2400):
+        n = rng.randint(2, 16)
+        g = reference.random_graph(rng, n, rng.choice((0.25, 0.45, 0.65, 0.85)))
+        s, t = rng.sample(range(n), 2)
+        alive = rng.getrandbits(n) | rng.getrandbits(n) | 1 << s | 1 << t
+        pick = rng.random()
+        edges = g.edges()
+        banned = (s, t) if pick < 0.5 else rng.choice(edges) if edges and pick < 0.7 else None
+        out.append(_flow_paths(g._adj, s, t, rng.randint(1, n), alive, banned))
+    assert sum(map(len, out)) == 5110
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "9f7e2e0775d3f67e41fe17c8fae0d132685b691787143527f5ef008dd215d383")
+
+
 class TestVertexConnectivity:
     def test_complete_convention(self):
         assert vertex_connectivity(complete_graph(5)) == 4
@@ -108,6 +130,57 @@ class TestVertexConnectivity:
             kappa = vertex_connectivity(g)
             for k in range(1, g.n):
                 assert is_k_connected(g, k) == (kappa >= k)
+
+
+def _nx_graph(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _mixed_graphs(seed, count):
+    """Seeded graphs on 2..16 vertices: random ones from sparse (often
+    disconnected) to dense, complete graphs, and complete graphs minus an
+    edge, whose only non-adjacent pair is the one the probes must find."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(2, 16)
+        if i % 6 == 0:
+            yield complete_graph(n)
+        elif i % 6 == 1:
+            k_minus = Graph(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
+            yield reference.random_permuted(rng, k_minus)
+        else:
+            yield reference.random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+
+
+class TestAgainstNetworkx:
+    """The flow layer against networkx, which shares no code with it, on
+    graphs far beyond the exhaustive references' reach."""
+
+    def test_vertex_connectivity_and_k_connected(self):
+        nx = pytest.importorskip("networkx")
+        for g in _mixed_graphs(41, 120):
+            kappa = nx.node_connectivity(_nx_graph(g))
+            assert vertex_connectivity(g) == kappa, g
+            for k in range(1, 6):
+                assert is_k_connected(g, k) == (kappa >= k), (g, k)
+
+    def test_local_connectivity(self):
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        for g in _mixed_graphs(43, 30):
+            h = _nx_graph(g)
+            for u, v in itertools.combinations(range(g.n), 2):
+                if g.has_edge(u, v):
+                    h.remove_edge(u, v)
+                    want = 1 + local_node_connectivity(h, u, v)
+                    h.add_edge(u, v)
+                else:
+                    want = local_node_connectivity(h, u, v)
+                assert local_connectivity(g, u, v) == want, (g, u, v)
 
 
 class TestUniform4:

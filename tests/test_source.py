@@ -14,3 +14,62 @@ def test_no_assert_guards_in_src():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# the module-level caches of the package; performance work moves caches out
+# into explicit state, never in, so this set may only shrink
+MODULE_CACHES = {"_verdicts", "_fan_levels", "_simple_paths", "_oracle_cache", "_generation_cache"}
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
+              "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _callee(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _starts_empty(value):
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    return isinstance(value, ast.Call) and _callee(value) in CONTAINERS
+
+
+def _module_state(tree):
+    """Names of module-level containers that start empty, of functions
+    wrapped in a memoizing decorator, and of names declared global."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _starts_empty(node.value):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and node.value is not None and _starts_empty(node.value):
+            names.add(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and any(
+                _callee(d) in ("lru_cache", "cache") for d in node.decorator_list):
+            names.add(node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            names.update(node.names)
+    return names
+
+
+def test_module_caches_are_the_known_five():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _module_state(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == MODULE_CACHES
+
+
+def test_module_state_finder_sees_each_form():
+    tree = ast.parse(
+        "import functools\n"
+        "_a = {}\n_b: dict = {}\n_c = []\n_d = collections.defaultdict(list)\n"
+        "TABLE = {'x': 1}\nLIMIT = 16\n"
+        "@functools.lru_cache(maxsize=8)\ndef _e(x):\n    return x\n"
+        "@cache\ndef _f(x):\n    return x\n"
+        "def g():\n    global _h\n    _h = 1\n")
+    assert _module_state(tree) == {"_a", "_b", "_c", "_d", "_e", "_f", "_h"}
