@@ -312,23 +312,17 @@ def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
 
 
 def find_quasi_chord(g: Graph, u: int, v: int,
-                     budget: SearchBudget = DEFAULT_BUDGET,
-                     strict: bool = False):
+                     budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, cycle-as-two-arcs) making a quasi chord, or None.
 
-    Default reading: the cycle passes through u and v non-consecutively.
-    With strict=True, u and v must additionally be non-adjacent in g.
+    The cycle passes through u and v non-consecutively; u and v may be
+    adjacent in g.
     """
-    if u == v:
-        raise GraphError("quasi chord endpoints must differ")
-    if strict and g.has_edge(u, v):
-        return None
-
     def arcs(p):
         # a suitable cycle = two internally-disjoint u-v paths of length >= 2
         found = _flow_paths(g._adj, u, v, 2, _off_path(g.n, p) | (1 << u) | (1 << v), (u, v))
         return (tuple(found[0]), tuple(found[1])) if len(found) >= 2 else None
-    return _sweep(("qchord", g, u, v, strict), g, u, v, budget, arcs, f"quasi chord {u}-{v}")
+    return _sweep(("qchord", g, u, v), g, u, v, budget, arcs, f"quasi chord {u}-{v}")
 
 
 def exists_quasi_3cc_path(g: Graph, u: int, v: int,
@@ -344,8 +338,6 @@ def exists_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
 
 
 def exists_quasi_chord(g: Graph, u: int, v: int,
-                       budget: SearchBudget = DEFAULT_BUDGET,
-                       strict: bool = False) -> bool:
-    """Is some simple u-v path a quasi chord of some cycle of g?  See
-    find_quasi_chord for the two readings."""
-    return find_quasi_chord(g, u, v, budget, strict) is not None
+                       budget: SearchBudget = DEFAULT_BUDGET) -> bool:
+    """Is some simple u-v path a quasi chord of some cycle of g?"""
+    return find_quasi_chord(g, u, v, budget) is not None

@@ -190,7 +190,7 @@ def _cmd_apply(args) -> Tuple[dict, int]:
 def _cmd_decompose(args) -> Tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     try:
-        trace = decompose(g, _budget(args))
+        trace = decompose(g)
     except NotUniform:
         return ({"schema": SCHEMA, "command": "decompose",
                  "uniform4": False, "trace": None}, VERDICT_FALSE)
@@ -240,9 +240,10 @@ def _cmd_verify(args) -> Tuple[dict, int]:
                                   for n, certs in sorted(rep.only_generated.items())},
                "decompose_ok": {c.decode("ascii"): ok for c, ok in sorted(rep.decompose_ok.items())},
                "soundness_failures": [list(map(str, f)) for f in rep.soundness_failures],
+               "complete": rep.complete,
                "holds": rep.holds,
                "timings": {k: round(v, 3) for k, v in rep.timings.items()}}
-    return payload, OK if rep.holds else VERDICT_FALSE
+    return payload, OK if rep.holds else (VERDICT_FALSE if rep.complete else BUDGET)
 
 
 def _cmd_convert(args) -> Tuple[dict, int]:
@@ -269,14 +270,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"unicon4 {__version__}")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, path=True):
+    def common(p, path=True, budget=False):
         if path:
             p.add_argument("path")
             p.add_argument("--format", choices=["g6", "edges"], default=None,
                            help="input format; default: by file extension")
         p.add_argument("--human", action="store_true", help="plain-text output")
-        p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths)
-        p.add_argument("--max-len", type=int, default=None)
+        if budget:  # only the commands that sweep simple paths take one
+            p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths,
+                           help="simple paths per vertex pair")
+            p.add_argument("--max-len", type=int, default=None, help="vertices per path")
 
     common(sub.add_parser("analyze", help="connectivity report and uniform-4 verdict"))
     common(sub.add_parser("removable", help="removability of every edge"))
@@ -285,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge", required=True, help="U,V")
     p.add_argument("-o", "--output", default=None)
     p = sub.add_parser("apply", help="apply a delta expansion")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--op", required=True, choices=["delta1", "delta2"])
     p.add_argument("--x", required=True, help="A,B,C")
     p.add_argument("--y", type=int, default=None, help="attachment vertex (delta1)")
@@ -297,15 +300,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("-o", "--output", default=None)
     p = sub.add_parser("replay", help="rebuild and validate a trace file")
-    common(p, path=False)
+    common(p, path=False, budget=True)
     p.add_argument("trace")
     p.add_argument("--skip-compat", action="store_true",
                    help="skip the per-step compatibility re-check")
     p = sub.add_parser("gen", help="generate all uniformly 4-connected graphs")
-    common(p, path=False)
+    common(p, path=False, budget=True)
     p.add_argument("--max-n", type=int, required=True)
     p = sub.add_parser("verify", help="generation vs oracle vs decomposition")
-    common(p, path=False)
+    common(p, path=False, budget=True)
     p.add_argument("--max-n", type=int, required=True)
     p = sub.add_parser("convert", help="convert between graph formats")
     common(p)

@@ -295,11 +295,15 @@ def is_uniformly_4_connected(g: Graph) -> Tuple[bool, Optional[Witness]]:
             if g.degree(v) < 5:
                 continue
             if _local_conn(g._adj, g.n, u, v, 5) >= 5:
-                fan = disjoint_path_fan(g, u, v, 5)
-                if fan is None:
-                    raise RuntimeError(f"no five-fan for pair ({u},{v}) of local connectivity >= 5")
-                return False, FanWitness((u, v), fan)
+                return False, _fan_witness(g, u, v)
     return True, None
+
+
+def _fan_witness(g: Graph, u: int, v: int) -> FanWitness:
+    fan = disjoint_path_fan(g, u, v, 5)
+    if fan is None:
+        raise RuntimeError(f"no five-fan for pair ({u},{v}) of local connectivity >= 5")
+    return FanWitness((u, v), fan)
 
 
 def _some_small_cut(g: Graph, below: int) -> frozenset:
@@ -384,10 +388,12 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
     # kappa is the least local connectivity over non-adjacent pairs
     kappa = min((local[u][v] for u in range(g.n) for v in range(u + 1, g.n)
                  if not g.has_edge(u, v)), default=g.n - 1)
-    if g.n >= 5:
-        uniform, witness = is_uniformly_4_connected(g)
-    else:
-        uniform, witness = False, None
-        if kappa < 4:
-            witness = CutWitness(frozenset(_some_small_cut(g, 4))) if not g.is_complete() else None
-    return ConnectivityReport(kappa, tuple(tuple(r) for r in local), uniform, witness)
+    # the verdict and witness of is_uniformly_4_connected, read off the matrix
+    above = next(((u, v) for u in range(g.n) for v in range(u + 1, g.n) if local[u][v] >= 5), None)
+    witness = None
+    if kappa < 4:
+        witness = None if g.is_complete() else CutWitness(_some_small_cut(g, 4))
+    elif above is not None:
+        witness = _fan_witness(g, *above)
+    return ConnectivityReport(kappa, tuple(tuple(r) for r in local),
+                              kappa >= 4 and above is None, witness)

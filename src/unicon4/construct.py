@@ -25,6 +25,9 @@ TRACE_SCHEMA = "unicon4.trace/v1"
 
 BASE_TAGS = ("C5SQ", "C6SQ")
 
+# candidates decompose examines before giving up (K4,4 exhausts its search after 784)
+DECOMPOSE_CANDIDATES = 1_000_000
+
 
 class NotUniform(GraphError):
     """Decomposition requires a uniformly 4-connected input."""
@@ -208,27 +211,27 @@ def _subsets_largest_first(edges: Tuple) -> Iterator[Tuple]:
         yield from itertools.combinations(edges, size)
 
 
-def decompose(g: Graph, budget: SearchBudget = DEFAULT_BUDGET) -> ConstructionTrace:
+def decompose(g: Graph) -> ConstructionTrace:
     """A replayable construction of (a graph isomorphic to) g from a base.
 
     Depth-first search over parent candidates in a fixed order, descending
     only into uniformly 4-connected parents, so every emitted intermediate
-    is itself uniformly 4-connected.  budget.max_paths caps the number of
-    candidates examined across the whole search.
+    is itself uniformly 4-connected.  At most DECOMPOSE_CANDIDATES
+    candidates are examined across the whole search.
     """
     uniform, _ = is_uniformly_4_connected(g)
     if not uniform:
         raise NotUniform("decomposition is defined for uniformly 4-connected graphs")
+    base_of = {canonical_cert(base_graph(tag)): tag for tag in BASE_TAGS}
     nodes = [0]
 
     def search(cur: Graph) -> Tuple[str, List[TraceStep], Graph]:
         cert = canonical_cert(cur)
-        for tag in BASE_TAGS:
-            if cert == canonical_cert(base_graph(tag)):
-                return tag, [], base_graph(tag)
+        if cert in base_of:
+            return base_of[cert], [], base_graph(base_of[cert])
         for op, host, spec in _parent_candidates(cur):
             nodes[0] += 1
-            if nodes[0] > budget.max_paths:
+            if nodes[0] > DECOMPOSE_CANDIDATES:
                 raise BudgetExceeded(f"decomposition examined {nodes[0]} candidates")
             host_uniform, _ = is_uniformly_4_connected(host)
             if not host_uniform:
@@ -569,11 +572,12 @@ class VerificationReport:
     only_generated: Dict[int, FrozenSet[bytes]]
     decompose_ok: Dict[bytes, bool]
     soundness_failures: Tuple[Tuple[bytes, str], ...]
+    complete: bool  # False when a search budget cut generation or a round trip short
     timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def holds(self) -> bool:
-        return (all(not s for s in self.only_oracle.values())
+        return (self.complete and all(not s for s in self.only_oracle.values())
                 and all(not s for s in self.only_generated.values())
                 and all(self.decompose_ok.values())
                 and not self.soundness_failures)
@@ -582,7 +586,7 @@ class VerificationReport:
 def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> VerificationReport:
     """Oracle set vs generated set plus a decompose/replay round trip for
     every oracle graph; the characterization holds on this range iff all
-    three agree."""
+    three agree and no search was cut short by the budget."""
     if not 5 <= n_max <= 8:
         raise GraphError("verification is supported for 5 <= n_max <= 8")
     timings: Dict[str, float] = {}
@@ -594,15 +598,16 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
     timings["generate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     decompose_ok: Dict[bytes, bool] = {}
+    complete = cat.complete
     for n in range(5, n_max + 1):
         for g in oracle_graphs(n):
             cert = canonical_cert(g)
             try:
-                trace = decompose(g, budget)
-                rebuilt = replay(trace, budget)
+                rebuilt = replay(decompose(g), budget)
                 decompose_ok[cert] = canonical_cert(rebuilt) == cert
-            except (DecompositionError, StepInvalid, CertMismatch, BudgetExceeded, NotUniform):
+            except (DecompositionError, StepInvalid, CertMismatch, BudgetExceeded, NotUniform) as exc:
                 decompose_ok[cert] = False
+                complete &= not isinstance(exc, BudgetExceeded)
     timings["decompose"] = time.perf_counter() - t0
     only_oracle = {}
     only_generated = {}
@@ -618,4 +623,5 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
         only_generated=only_generated,
         decompose_ok=decompose_ok,
         soundness_failures=cat.soundness_failures,
+        complete=complete,
         timings=timings)

@@ -408,13 +408,11 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Dict[int, int]]:
     """An explicit vertex bijection g -> h, or None."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    og, oh = canonical_labeling(g), canonical_labeling(h)
-    if canonical_cert(g) != canonical_cert(h):
-        return None
-    pos_g = {old: i for i, old in enumerate(og)}
-    mapping = {v: oh[pos_g[v]] for v in range(g.n)}
+    # the canonical forms agree iff the map between equal canonical
+    # positions is an isomorphism, so test the map instead of building them
+    mapping = dict(sorted(zip(canonical_labeling(g), canonical_labeling(h))))
     if not all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges()):
-        raise RuntimeError("equal certificates gave a map that is not an isomorphism")
+        return None
     return mapping
 
 

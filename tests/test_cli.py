@@ -5,7 +5,7 @@ import pytest
 
 from unicon4 import (complete_graph, format_edge_list, format_graph6, k6_minus_edge,
                      octahedron, parse_edge_list, parse_graph6, square_of_cycle)
-from unicon4 import cli, connectivity, transform
+from unicon4 import chording, cli, connectivity, transform
 from unicon4.cli import main
 
 
@@ -144,7 +144,6 @@ class TestApply:
         assert parse_graph6(doc["result_graph6"]).n == 8
 
     def test_budget_exceeded_exit_3(self, capsys, files):
-        from unicon4 import chording
         chording.clear_caches()
         code, doc = run(capsys, "apply", files["c6sq"], "--op", "delta1",
                         "--x", "0,1,2", "--y", "4", "--ex", "0-2",
@@ -195,9 +194,20 @@ class TestGenVerify:
 
     def test_verify_max_n_6(self, capsys):
         code, doc = run(capsys, "verify", "--max-n", "6")
-        assert code == 0 and doc["holds"] is True
+        assert code == 0 and doc["holds"] is True and doc["complete"] is True
         assert doc["oracle_counts"] == doc["generated_counts"] == {"5": 1, "6": 1}
         assert all(doc["decompose_ok"].values())
+
+    @pytest.mark.parametrize("max_n, max_paths", [("6", "1"), ("7", "3")])
+    def test_verify_cut_short_is_unresolved(self, capsys, max_n, max_paths):
+        # gen reports the same budget as incomplete; verify must not turn
+        # it into a verdict either way
+        chording.clear_caches()  # cached verdicts would legitimately bypass the budget
+        _, gen = run(capsys, "gen", "--max-n", max_n, "--max-paths", max_paths)
+        code, doc = run(capsys, "verify", "--max-n", max_n, "--max-paths", max_paths)
+        chording.clear_caches()
+        assert gen["complete"] is False
+        assert code == 3 and doc["complete"] is False and doc["holds"] is False
 
 
 class TestConvert:
@@ -231,3 +241,36 @@ class TestOutputContract:
             doc = json.loads(capsys.readouterr().out)
             assert doc["schema"] == "unicon4.report/v1"
             assert doc["command"] == argv[0]
+
+
+# a minimal command line per subcommand; argparse never opens the files
+ARGV = {
+    "analyze": ["analyze", "g.g6"],
+    "removable": ["removable", "g.g6"],
+    "reduce": ["reduce", "g.g6", "--edge", "0,1"],
+    "apply": ["apply", "g.g6", "--op", "delta1", "--x", "0,1,2", "--y", "3", "--ex", "0-1"],
+    "decompose": ["decompose", "g.g6"],
+    "replay": ["replay", "t.json"],
+    "gen": ["gen", "--max-n", "5"],
+    "verify": ["verify", "--max-n", "5"],
+    "convert": ["convert", "g.g6", "--to", "g6"],
+}
+PATH_SWEEPS = {"apply", "replay", "gen", "verify"}
+
+
+class TestBudgetFlags:
+    def test_every_subcommand_is_listed(self):
+        assert set(ARGV) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("cmd", sorted(PATH_SWEEPS))
+    def test_path_sweeps_take_the_budget(self, cmd):
+        args = cli._build_parser().parse_args(ARGV[cmd] + ["--max-paths", "7", "--max-len", "4"])
+        assert (args.max_paths, args.max_len) == (7, 4)
+
+    @pytest.mark.parametrize("cmd", sorted(set(ARGV) - PATH_SWEEPS))
+    @pytest.mark.parametrize("flag", ["--max-paths", "--max-len"])
+    def test_other_commands_reject_it(self, cmd, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(ARGV[cmd] + [flag, "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -307,3 +307,13 @@ class TestReport:
                 assert rep.kappa == min(nonadj)
             else:
                 assert rep.kappa == g.n - 1
+
+    def test_verdict_matches_is_uniformly_4_connected(self):
+        rng = random.Random(53)
+        pool = [complete_graph(5), complete_graph(6), octahedron_plus()]
+        pool += [square_of_cycle(n) for n in range(5, 13)]
+        pool += [reference.random_graph(rng, rng.randint(5, 12), rng.choice([0.5, 0.7, 0.9]))
+                 for _ in range(200)]
+        for g in pool:
+            rep = connectivity_report(g)
+            assert (rep.uniform4, rep.witness) == is_uniformly_4_connected(g)

@@ -230,10 +230,11 @@ class TestDecompose:
         with pytest.raises(construct.DecompositionError):
             decompose(K44)
 
-    def test_search_budget(self):
+    def test_search_budget(self, monkeypatch):
         # K44's search would exhaust 784 candidates; a small cap trips first
-        with pytest.raises(chording.BudgetExceeded):
-            decompose(K44, SearchBudget(max_paths=10))
+        monkeypatch.setattr(construct, "DECOMPOSE_CANDIDATES", 10)
+        with pytest.raises(chording.BudgetExceeded, match="examined 11 candidates"):
+            decompose(K44)
 
 
 class TestTraces:
@@ -295,7 +296,7 @@ class TestTraces:
 class TestVerifyTheorem:
     def test_holds_through_n7(self):
         rep = verify_theorem(7)
-        assert rep.holds
+        assert rep.holds and rep.complete
         assert {n: len(c) for n, c in rep.oracle_by_n.items()} == {5: 1, 6: 1, 7: 4}
         assert rep.generated_by_n == rep.oracle_by_n
         assert all(rep.decompose_ok.values()) and len(rep.decompose_ok) == 6

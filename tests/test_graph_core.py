@@ -9,6 +9,7 @@ from unicon4 import (FormatError, Graph, GraphError, add_edges, add_vertex_with_
                      delete_vertex, find_isomorphism, format_edge_list, format_graph6,
                      induced, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
                      parse_graph6, remove_edges, square_of_cycle, to_dot)
+from unicon4 import graph_core
 from unicon4.graph_core import permutations_isomorphic, relabel
 
 import reference
@@ -233,6 +234,20 @@ class TestCanonical:
             iso = find_isomorphism(g, h)
             assert iso is not None
             assert relabel(g, iso) == h
+
+    def test_find_isomorphism_labels_each_graph_once(self, monkeypatch):
+        calls = []
+        real = graph_core.canonical_labeling
+        monkeypatch.setattr(graph_core, "canonical_labeling", lambda g: calls.append(g) or real(g))
+        g = square_of_cycle(7)
+        assert find_isomorphism(g, reference.random_permuted(random.Random(5), g)) is not None
+        assert len(calls) == 2
+        # the complement of a triangle plus a 4-cycle: 4-regular on 7
+        # vertices like C7^2, but not isomorphic to it
+        c3c4 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        other = Graph(7, [e for e in itertools.combinations(range(7), 2) if e not in c3c4])
+        assert find_isomorphism(g, other) is None
+        assert len(calls) == 4
 
     def test_order_cap(self):
         with pytest.raises(GraphError):
