@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .connectivity import _flow_paths
+from .connectivity import _components, _flow_paths
 from .graph_core import Graph, GraphError, _mask_bits
 
 PathVerts = Tuple[int, ...]
@@ -137,24 +137,32 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
 
     "Detour" excludes the subpath itself: its interior is deleted with the
     rest of p, and for single-edge subpaths the edge itself is barred.
+
+    Counting settles most levels.  By Menger's theorem some maximum detour
+    family holds the edge ab, when it is a detour, and every a-c-b through
+    an off-path common neighbour c; deleting them lowers the connectivity by
+    their count.  A flow runs, in the graph without them, only when that
+    count falls short of the degree cap, unless one detour is missing and
+    there is no such c: it exists iff a component off p meets N(a) and N(b).
     """
     adj = g._adj
     rest = _off_path(g.n, p)
+    deg = [bin(adj[x] & rest).count("1") for x in p]
+    comps = _components(adj, rest)
     out = []
     for i, j in _subpaths(p):
         a, b = p[i], p[j]
-        alive = rest | (1 << a) | (1 << b)
-        banned = (a, b) if j == i + 1 else None
-        da = bin(adj[a] & alive).count("1") - (1 if banned and g.has_edge(a, b) else 0)
-        db = bin(adj[b] & alive).count("1") - (1 if banned and g.has_edge(a, b) else 0)
-        if da < 3 or db < 3:
-            cap = min(da, db, 3)
-            if cap <= 0:
-                out.append(0)
-                continue
-            out.append(len(_flow_paths(adj, a, b, cap, alive, banned)))
+        direct = 1 if j > i + 1 and adj[a] >> b & 1 else 0
+        cap = min(deg[i] + direct, deg[j] + direct, 3)
+        common = adj[a] & adj[b] & rest
+        known = direct + bin(common).count("1")
+        if known >= cap:
+            out.append(cap)
+        elif cap - known == 1 and not common:
+            out.append(known + any(c & adj[a] and c & adj[b] for c in comps))
         else:
-            out.append(len(_flow_paths(adj, a, b, 3, alive, banned)))
+            alive = (rest & ~common) | (1 << a) | (1 << b)
+            out.append(known + len(_flow_paths(adj, a, b, cap - known, alive, (a, b))))
     return tuple(out)
 
 
@@ -264,7 +272,7 @@ def _eplus_hits(g: Graph, p: PathVerts, e: Pair) -> Optional[ChordingWitness]:
 
 # -- queries over all u-v paths -----------------------------------------------
 
-# query key -> the first (path, witness or arcs) in enumeration order, or None
+# (query key, budget) -> the first (path, witness or arcs) in order, or None
 _verdicts: Dict[tuple, Optional[tuple]] = {}
 
 
@@ -277,8 +285,9 @@ def clear_caches() -> None:
 def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
            hit: Callable[[PathVerts], object], what: str) -> Optional[tuple]:
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
-    in enumeration order, or None when there is none; cached under key.  A
-    truncated sweep that found nothing raises BudgetExceeded."""
+    in enumeration order, or None when there is none; cached under key and
+    budget.  A truncated sweep that found nothing raises BudgetExceeded."""
+    key += (budget,)
     if key in _verdicts:
         return _verdicts[key]
     paths, complete = _paths_for(g, u, v, budget)

@@ -420,14 +420,3 @@ def relabel(g: Graph, mapping: Dict[int, int]) -> Graph:
     if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(g.n)):
         raise GraphError("relabeling must be a permutation of the vertex ids")
     return Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
-
-
-def permutations_isomorphic(g: Graph, h: Graph) -> bool:
-    """Reference isomorphism test by exhaustive permutation search (small n only)."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    gedges = set(g.edges())
-    for perm in itertools.permutations(range(g.n)):
-        if all(h.has_edge(perm[u], perm[v]) for u, v in gedges):
-            return True
-    return False

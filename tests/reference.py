@@ -61,6 +61,17 @@ def all_labeled_graphs(n: int):
         yield Graph(n, [e for i, e in enumerate(slots) if bits >> i & 1])
 
 
+def permutations_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism by exhaustive permutation search (small n only)."""
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    gedges = set(g.edges())
+    for perm in itertools.permutations(range(g.n)):
+        if all(h.has_edge(perm[u], perm[v]) for u, v in gedges):
+            return True
+    return False
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 

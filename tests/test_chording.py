@@ -6,7 +6,8 @@ import pytest
 from unicon4 import (BudgetExceeded, Graph, GraphError, SearchBudget, classify_quasi_3cc,
                      complete_graph, cycle_graph, exists_e_plus_quasi_3cc_path,
                      exists_quasi_3cc_path, exists_quasi_chord, is_e_plus_quasi_3cc,
-                     octahedron, remove_edges, validate_path, verify_witness)
+                     octahedron, remove_edges, square_of_cycle, validate_path,
+                     verify_witness)
 from unicon4 import chording
 
 import reference
@@ -109,6 +110,58 @@ class TestClassify:
                     smaller = remove_edges(g, removable[:1])
                     assert verify_witness(smaller, w)
                     assert classify_quasi_3cc(smaller, p) is not None
+
+
+def _random_path(rng, g):
+    path = [rng.randrange(g.n)]
+    while True:
+        nbrs = [w for w in g.neighbors(path[-1]) if w not in path]
+        if not nbrs or (len(path) > 1 and rng.random() < 0.2):
+            return tuple(path)
+        path.append(rng.choice(nbrs))
+
+
+class TestFanLevels:
+    def test_against_networkx(self):
+        # networkx shares no code with the counting or the flow kernel: a
+        # level is min(3, [ab is a detour] + the local connectivity of a, b
+        # once the rest of the path and the edge ab are deleted)
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        rng = random.Random(71)
+        checked = 0
+        while checked < 150:
+            n = rng.randint(5, 12)
+            g = reference.random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+            p = _random_path(rng, g)
+            if len(p) < 2:
+                continue
+            checked += 1
+            want = []
+            for i, j in chording._subpaths(p):
+                a, b = p[i], p[j]
+                keep = (set(range(n)) - set(p)) | {a, b}
+                h = nx.Graph()
+                h.add_nodes_from(keep)
+                h.add_edges_from((x, y) for x, y in g.edges()
+                                 if x in keep and y in keep and {x, y} != {a, b})
+                direct = 1 if j > i + 1 and g.has_edge(a, b) else 0
+                want.append(min(3, direct + local_node_connectivity(h, a, b)))
+            assert chording._fan_levels(g, p) == tuple(want), (g, p)
+
+    @pytest.mark.parametrize("n, max_flows, chording_paths", [(8, 50, 7), (10, 200, 16)])
+    def test_counting_settles_most_levels(self, monkeypatch, n, max_flows, chording_paths):
+        # a flow for every level took 736 and 3,238 calls over the 70 and
+        # 210 simple 0-1 paths of C8^2 and C10^2
+        calls = []
+        flow_paths = chording._flow_paths
+        monkeypatch.setattr(chording, "_flow_paths",
+                            lambda *args: calls.append(args) or flow_paths(*args))
+        chording._fan_levels.cache_clear()
+        g = square_of_cycle(n)
+        hits = sum(3 in chording._fan_levels(g, p) for p in reference.all_simple_paths(g, 0, 1))
+        assert hits == chording_paths
+        assert len(calls) <= max_flows
 
 
 class TestExistsQ3cc:

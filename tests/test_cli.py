@@ -202,10 +202,8 @@ class TestGenVerify:
     def test_verify_cut_short_is_unresolved(self, capsys, max_n, max_paths):
         # gen reports the same budget as incomplete; verify must not turn
         # it into a verdict either way
-        chording.clear_caches()  # cached verdicts would legitimately bypass the budget
         _, gen = run(capsys, "gen", "--max-n", max_n, "--max-paths", max_paths)
         code, doc = run(capsys, "verify", "--max-n", max_n, "--max-paths", max_paths)
-        chording.clear_caches()
         assert gen["complete"] is False
         assert code == 3 and doc["complete"] is False and doc["holds"] is False
 

@@ -127,14 +127,22 @@ class TestGenerate:
             generate_all(10)
 
     def test_budget_exhaustion_flags_partial_result(self):
-        construct._generation_cache.clear()
-        chording.clear_caches()  # cached verdicts would legitimately bypass the budget
+        # cold, and after a default run has filled the verdict cache: a
+        # result depends only on (input, budget), not on what ran before
+        budget = SearchBudget(max_paths=1)
+        got = []
         try:
-            cat = generate_catalog(6, SearchBudget(max_paths=1))
-            assert not cat.complete and cat.budget_hits > 0
+            for warm in (False, True):
+                construct._generation_cache.clear()
+                chording.clear_caches()
+                if warm:
+                    generate_catalog(6)
+                cat = generate_catalog(6, budget)
+                got.append((cat.complete, cat.budget_hits))
         finally:
             construct._generation_cache.clear()
             chording.clear_caches()
+        assert got == [(False, 60), (False, 60)]
 
     def test_faulty_compatibility_is_reported_not_hidden(self, monkeypatch):
         # skip the compatibility gate entirely: the uniformity cross-check
