@@ -1,9 +1,9 @@
 """Executable form of the constructive characterization: breadth-first
 generation of every uniformly 4-connected graph up to a target order by
-compatible expansions of the two base graphs, an independent brute-force
-oracle over complement graphs, decomposition of any uniformly 4-connected
-graph back to a base with a replayable trace, and the report that compares
-all three.
+compatible expansions of the two base graphs, an independent census oracle
+that grows every candidate isomorphism class one vertex at a time (n <= 9),
+decomposition of any uniformly 4-connected graph back to a base with a
+replayable trace, and the report that compares all three.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
-from .connectivity import _flow_paths, is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, canonical_cert, canonical_form,
-                         delete_vertex, find_isomorphism, square_of_cycle, _mask_bits)
+from .connectivity import is_uniformly_4_connected
+from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors, canonical_cert,
+                         canonical_form, delete_vertex, find_isomorphism, format_graph6,
+                         square_of_cycle, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, apply_delta,
                         is_quasi_4_compatible, validate_delta)
 
@@ -268,168 +269,59 @@ def _map_spec(spec: CompatSet, iso: Dict[int, int]) -> CompatSet:
                       me(spec.ex_edges), me(spec.ey_edges))
 
 
-# -- brute-force oracle ----------------------------------------------------------
+# -- census oracle ----------------------------------------------------------------
 
 
-def _mask_uniform4(adj, n: int) -> bool:
-    """Uniformity test on raw adjacency masks for the oracle's candidates
-    (n <= 8, minimum degree >= 4): no vertex cut of size < 4 and no pair
-    joined by five disjoint paths.
+def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
+    """Every one-vertex extension of parent that keeps the census bounds.
 
-    With minimum degree 4 and at most 8 vertices every component beside a
-    cut of size s has at least 5-s vertices, which pins the possible cut
-    shapes down to two patterns checked directly: a 3-cut is the shared
-    outer neighborhood of an adjacent degree-4 pair, a 2-cut (n = 8 only)
-    the joint attachment of a fully-joined triangle.  Pair checks use the
-    common-neighborhood count before falling back to a flow.
+    The new vertex k misses (in G) a set S of at most maxdeg vertices whose
+    complement degree is still below maxdeg, and sees every other vertex.
+    A pair with c common neighbors has local connectivity at least c + 1
+    when adjacent and at least c otherwise, so c may not exceed 3 / 4.  The
+    new vertex is checked against each old vertex, and it must not see both
+    ends of a pair that is already at its bound.
     """
-    full = (1 << n) - 1
-    degs = [bin(adj[v]).count("1") for v in range(n)]
-    deg4 = [v for v in range(n) if degs[v] == 4]
-    if n >= 7:
-        # at n <= 6 minimum degree 4 already forces 4-connectivity; from 7
-        # on, the far side of the candidate cut is guaranteed nonempty
-        for v in deg4:
-            vb = 1 << v
-            for w in _mask_bits(adj[v]):
-                if w > v and degs[w] == 4 and adj[v] ^ (1 << w) == adj[w] ^ vb:
-                    return False  # 3-cut: N(v) minus w equals N(w) minus v
-    if n == 8:
-        for v in deg4:
-            vb = 1 << v
-            hood = _mask_bits(adj[v])
-            for a, b in itertools.combinations(hood, 2):
-                ab = (1 << a) | (1 << b)
-                if not adj[a] >> b & 1:
-                    continue
-                smask = adj[v] ^ ab
-                if adj[a] == (vb | (1 << b) | smask) and adj[b] == (vb | (1 << a) | smask):
-                    return False  # 2-cut behind the triangle {v,a,b}
-    for u in range(n):
-        if degs[u] < 5:
-            continue
-        au = adj[u]
-        for v in range(u + 1, n):
-            if degs[v] < 5:
+    k = parent.n
+    adj = [parent.adj_mask(v) for v in range(k)]
+    avail = [v for v in range(k) if k - 1 - bin(adj[v]).count("1") < maxdeg]
+    tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
+             if bin(adj[a] & adj[b]).count("1") == (3 if adj[a] >> b & 1 else 4)]
+    full = (1 << k) - 1
+    for size in range(min(maxdeg, len(avail)) + 1):
+        for miss in itertools.combinations(avail, size):
+            new = full
+            for v in miss:
+                new ^= 1 << v
+            if any(new & t == t for t in tight):
                 continue
-            common = au & adj[v]
-            c = bin(common).count("1")
-            adjacent = au >> v & 1
-            bound = 3 if adjacent else 4
-            if c > bound:
-                return False
-            if c == bound:
-                # a single detour path avoiding the common neighbors lifts
-                # the pair to five disjoint paths
-                if _mask_reaches(adj, u, v, full & ~common, skip_direct=adjacent):
-                    return False
-            elif adjacent:
-                if len(_flow_paths(adj, u, v, 4, full, (u, v))) >= 4:
-                    return False
-            else:
-                if len(_flow_paths(adj, u, v, 5, full, None)) >= 5:
-                    return False
-    return True
-
-
-def _mask_reaches(adj, u: int, v: int, alive: int, skip_direct: bool) -> bool:
-    """Is there a u-v path inside alive (not using the direct edge)?"""
-    vb = 1 << v
-    frontier = adj[u] & alive & ~(1 << u)
-    if skip_direct:
-        frontier &= ~vb
-    seen = frontier | (1 << u)
-    while frontier:
-        if frontier & vb:
-            return True
-        grow = 0
-        m = frontier
-        while m:
-            low = m & -m
-            grow |= adj[low.bit_length() - 1]
-            m ^= low
-        frontier = grow & alive & ~seen
-        seen |= frontier
-    return False
-
-
-_oracle_cache: Dict[int, Dict[bytes, Graph]] = {}
+            if any(bin(adj[u] & new).count("1") > (3 if new >> u & 1 else 4) for u in range(k)):
+                continue
+            yield add_vertex_with_neighbors(parent, _mask_bits(new))
 
 
 def _oracle(n: int) -> Dict[bytes, Graph]:
     """Every uniformly 4-connected graph on n vertices, keyed by certificate.
 
-    Enumerates complement graphs of maximum degree n-5 (minimum degree 4
-    is necessary) row by row, restricted to non-increasing complement
-    degree sequences; every isomorphism class keeps at least one such
-    labeling, and the result is deduplicated by certificate anyway.  Two
-    counting facts prune branches early: a pair with c common neighbors
-    has local connectivity at least c plus one when adjacent, at least c
-    otherwise, so c must stay below 4 / 5.  Survivors pass a mask-level
-    screen and then the authoritative uniformity test; nothing from the
-    expansion machinery is consulted.
+    Grows the census one isomorphism class at a time.  Minimum degree 4
+    (complement degree at most n - 5) and the common-neighbor bounds of
+    _children are necessary for uniform 4-connectivity, and hereditary:
+    every induced subgraph of a graph that meets them meets them too
+    (complement degrees and common-neighbor counts only grow as vertices
+    are added).  So each class on k + 1 vertices is a child of a class on
+    k vertices, and extending every class of level k by one vertex, then
+    keeping one canonical form per class, gives all of level k + 1.  The
+    classes on n vertices then pass the authoritative uniformity test.
+    Only canonical labeling and the connectivity layer are used; nothing
+    from the expansion machinery is consulted.
     """
-    if n in _oracle_cache:
-        return _oracle_cache[n]
-    if not 5 <= n <= 8:
-        raise GraphError("the oracle sweep is supported for 5 <= n <= 8")
-    maxdeg = n - 5
-    found: Dict[bytes, Graph] = {}
-    hdeg = [0] * n
-    gadj = [0] * n
-    full = (1 << n) - 1
-
-    def rec(i: int) -> None:
-        if i == n:
-            if not _mask_uniform4(gadj, n):
-                return
-            g = Graph(n, [(u, v) for u in range(n) for v in _mask_bits(gadj[u]) if u < v])
-            if is_uniformly_4_connected(g)[0]:
-                cert = canonical_cert(g)
-                if cert not in found:
-                    found[cert] = canonical_form(g)
-            return
-        cap = (maxdeg if i == 0 else hdeg[i - 1]) - hdeg[i]
-        if cap < 0:
-            return  # the degree sequence can no longer end up non-increasing
-        avail = [j for j in range(i + 1, n) if hdeg[j] < maxdeg]
-        above = full & ~((1 << (i + 1)) - 1)
-        for size in range(cap + 1):
-            if size > len(avail):
-                break
-            for comb in itertools.combinations(avail, size):
-                smask = 0
-                for j in comb:
-                    smask |= 1 << j
-                gmask = above & ~smask
-                hdeg[i] += size
-                gadj[i] |= gmask
-                gjs = _mask_bits(gmask)
-                for j in comb:
-                    hdeg[j] += 1
-                for j in gjs:
-                    gadj[j] |= 1 << i
-                di = hdeg[i]
-                ok = all(hdeg[j] <= di for j in range(i + 1, n))
-                if ok:
-                    gi = gadj[i]
-                    for u in range(i):
-                        c = bin(gadj[u] & gi).count("1")
-                        if c > (3 if gi >> u & 1 else 4):
-                            ok = False
-                            break
-                if ok:
-                    rec(i + 1)
-                hdeg[i] -= size
-                gadj[i] &= ~gmask
-                for j in comb:
-                    hdeg[j] -= 1
-                for j in gjs:
-                    gadj[j] &= ~(1 << i)
-
-    rec(0)
-    _oracle_cache[n] = found
-    return found
+    if not 5 <= n <= 9:
+        raise GraphError("the census is supported for 5 <= n <= 9")
+    level = {Graph(1)}
+    for _ in range(1, n):
+        level = {canonical_form(child) for parent in level for child in _children(parent, n - 5)}
+    # each member is its own canonical form, so its graph6 is its certificate
+    return {format_graph6(g).encode("ascii"): g for g in level if is_uniformly_4_connected(g)[0]}
 
 
 def brute_force_uniform(n: int) -> FrozenSet[bytes]:
@@ -591,7 +483,8 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
         raise GraphError("verification is supported for 5 <= n_max <= 8")
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
-    oracle_by_n = {n: brute_force_uniform(n) for n in range(5, n_max + 1)}
+    census = {n: _oracle(n) for n in range(5, n_max + 1)}
+    oracle_by_n = {n: frozenset(found) for n, found in census.items()}
     timings["oracle"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     cat = generate_catalog(n_max, budget)
@@ -600,8 +493,8 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
     decompose_ok: Dict[bytes, bool] = {}
     complete = cat.complete
     for n in range(5, n_max + 1):
-        for g in oracle_graphs(n):
-            cert = canonical_cert(g)
+        for cert in sorted(census[n]):
+            g = census[n][cert]
             try:
                 rebuilt = replay(decompose(g), budget)
                 decompose_ok[cert] = canonical_cert(rebuilt) == cert

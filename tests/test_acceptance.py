@@ -10,7 +10,9 @@ implementation: both graphs' uniformity is certified here by an
 independent exhaustive path packing, and the parent scan is exhaustive.
 """
 
+import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -42,7 +44,8 @@ def four_connected_graphs_on_6_vertices():
 def criterion3_corpus():
     rng = random.Random(20260809)
     corpus = list(oracle_graphs(7)) + list(oracle_graphs(8))
-    while len(corpus) < len(brute_force_uniform(7)) + len(brute_force_uniform(8)) + 100:
+    target = len(corpus) + 100
+    while len(corpus) < target:
         n = rng.choice([7, 8])
         g = reference.random_graph(rng, n, rng.choice([0.6, 0.7, 0.8]))
         if is_k_connected(g, 4):
@@ -50,35 +53,67 @@ def criterion3_corpus():
     return corpus
 
 
-def all_delta1_specs(h):
-    for xs in itertools.combinations(range(h.n), 3):
-        inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
-        if not inside:
-            continue
-        for r in range(1, len(inside) + 1):
-            for exs in itertools.combinations(inside, r):
-                for y in range(h.n):
-                    if y not in xs:
-                        yield Delta1Spec(xs, y, exs)
-
-
-def all_delta2_specs(h):
-    combos = []
+def edge_subsets_of_triples(h):
+    """(3-set, its nonempty edge subsets) for each 3-set spanning an edge."""
+    out = []
     for xs in itertools.combinations(range(h.n), 3):
         inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
         if inside:
-            subs = [s for r in range(1, len(inside) + 1)
-                    for s in itertools.combinations(inside, r)]
-            combos.append((xs, subs))
-    for i in range(len(combos)):
-        xs, xsubs = combos[i]
-        for j in range(i + 1, len(combos)):
-            ys, ysubs = combos[j]
-            if len(set(xs) & set(ys)) > 2:
-                continue
-            for exs in xsubs:
-                for eys in ysubs:
-                    yield Delta2Spec(xs, ys, exs, eys)
+            out.append((xs, [s for r in range(1, len(inside) + 1)
+                             for s in itertools.combinations(inside, r)]))
+    return out
+
+
+def delta1_blocks(h):
+    return [(xs, (subs, [y for y in range(h.n) if y not in xs]))
+            for xs, subs in edge_subsets_of_triples(h)]
+
+
+def delta2_blocks(h):
+    combos = edge_subsets_of_triples(h)
+    return [((xs, ys), (xsubs, ysubs))
+            for i, (xs, xsubs) in enumerate(combos)
+            for ys, ysubs in combos[i + 1:] if len(set(xs) & set(ys)) <= 2]
+
+
+def all_delta1_specs(h):
+    for xs, (subs, ys) in delta1_blocks(h):
+        for exs in subs:
+            for y in ys:
+                yield Delta1Spec(xs, y, exs)
+
+
+def all_delta2_specs(h):
+    for (xs, ys), (xsubs, ysubs) in delta2_blocks(h):
+        for exs in xsubs:
+            for eys in ysubs:
+                yield Delta2Spec(xs, ys, exs, eys)
+
+
+def every_nth(blocks, step):
+    """(key, choice) for every step-th item of the blocks' concatenated
+    products, in itertools.product order; skipped items are never built."""
+    offset = 0
+    for key, seqs in blocks:
+        size = math.prod(len(s) for s in seqs)
+        for t in range(-offset % step, size, step):
+            choice = []
+            for seq in reversed(seqs):
+                t, r = divmod(t, len(seq))
+                choice.append(seq[r])
+            yield key, choice[::-1]
+        offset += size
+
+
+def sampled_delta1_specs(h, step):
+    """The list of all_delta1_specs(h)[::step]."""
+    return [Delta1Spec(xs, y, exs) for xs, (exs, y) in every_nth(delta1_blocks(h), step)]
+
+
+def sampled_delta2_specs(h, step):
+    """The list of all_delta2_specs(h)[::step]."""
+    return [Delta2Spec(xs, ys, exs, eys)
+            for (xs, ys), (exs, eys) in every_nth(delta2_blocks(h), step)]
 
 
 def test_criterion_1_base_case_recognition():
@@ -136,13 +171,15 @@ def test_criterion_4_expansions_preserve_4_connectivity():
     t0 = time.perf_counter()
     rng = random.Random(424242)
     corpus = criterion3_corpus()
+    sampled = {h: (sampled_delta1_specs(h, 11), sampled_delta2_specs(h, 173)) for h in corpus}
+    # sha256 of the islice(all_delta*_specs(h), 0, None, 11 / 173) lists, one repr per line
+    lines = [repr(s) for h in corpus for specs in sampled[h] for s in specs]
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == "1057b6648126129fbe7ab99a05331e8f3a3b57f268c58074f8ddf4e4f26dc41a"
     applied = failures = 0
     while applied < 1000:
         h = rng.choice(corpus)
-        if rng.random() < 0.5:
-            specs = [s for s in itertools.islice(all_delta1_specs(h), 0, None, 11)]
-        else:
-            specs = [s for s in itertools.islice(all_delta2_specs(h), 0, None, 173)]
+        specs = sampled[h][0] if rng.random() < 0.5 else sampled[h][1]
         if not specs:
             continue
         spec = rng.choice(specs)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -15,6 +16,13 @@ import reference
 
 K44 = Graph(8, [(a, b) for a in range(4) for b in range(4, 8)])
 
+CENSUS_SHA256 = {
+    5: "41ea650d4b1c11143ca7ec83c65a5e6be2adb8559eea320bbeface2e045b0773",
+    6: "8f05b92d564696dfa095a7d02ec096b6bbc2540cb7c7d8bfb79a2e92f7b80b2b",
+    7: "48d5225eb0da816ecaedee8ae520dfb82f44dd1a666cc1e6cb9d5fee68f2446d",
+    8: "d793f62d54c7cadec4b4eb2860c6bfb24f660314804354441c62cfc2a6b2eab6",
+}
+
 
 class TestOracle:
     def test_n5_is_k5_only(self):
@@ -27,7 +35,36 @@ class TestOracle:
         with pytest.raises(GraphError):
             brute_force_uniform(4)
         with pytest.raises(GraphError):
-            brute_force_uniform(9)
+            brute_force_uniform(10)
+
+    def test_census_digests(self):
+        # sha256 of the sorted certificates, one per line, as taken from
+        # the earlier labeled sweep (the same rule as bench/stats.cert_digest)
+        for n, want in CENSUS_SHA256.items():
+            text = "\n".join(sorted(c.decode("ascii") for c in brute_force_uniform(n)))
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, n
+
+    def test_n9_census_checked_by_networkx(self):
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        reps = oracle_graphs(9)
+        assert len(reps) == 49
+        certs = "\n".join(format_graph6(g) for g in reps)
+        assert hashlib.sha256(certs.encode("ascii")).hexdigest() == (
+            "31a7ffea5b54579531790f602c22690820861efcb2f1aae0808ffa8062e0bff4")
+        for g in reps:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert nx.node_connectivity(h) == 4, g
+            for u, v in itertools.combinations(range(g.n), 2):
+                if g.has_edge(u, v):
+                    h.remove_edge(u, v)
+                    kappa = 1 + local_node_connectivity(h, u, v)
+                    h.add_edge(u, v)
+                else:
+                    kappa = local_node_connectivity(h, u, v)
+                assert kappa == 4, (format_graph6(g), u, v)
 
     def test_counts_regression(self):
         # first-computation constants for the two upper orders
@@ -88,11 +125,7 @@ class TestOracle:
                      "exists_e_plus_quasi_3cc_path", "exists_quasi_chord",
                      "find_quasi_3cc_path", "find_e_plus_quasi_3cc_path", "find_quasi_chord"):
             monkeypatch.setattr(chording, name, boom)
-        construct._oracle_cache.pop(6, None)
-        try:
-            assert brute_force_uniform(6) == {canonical_cert(octahedron())}
-        finally:
-            construct._oracle_cache.pop(6, None)
+        assert brute_force_uniform(6) == {canonical_cert(octahedron())}
 
 
 class TestGenerate:

@@ -8,7 +8,7 @@ from unicon4 import (FormatError, Graph, GraphError, add_edges, add_vertex_with_
                      are_isomorphic, canonical_cert, canonical_form, complete_graph,
                      delete_vertex, find_isomorphism, format_edge_list, format_graph6,
                      induced, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
-                     parse_graph6, remove_edges, square_of_cycle, to_dot)
+                     oracle_graphs, parse_graph6, remove_edges, square_of_cycle, to_dot)
 from unicon4 import graph_core
 from unicon4.graph_core import relabel
 
@@ -252,3 +252,40 @@ class TestCanonical:
     def test_order_cap(self):
         with pytest.raises(GraphError):
             canonical_cert(Graph(17))
+
+
+class TestAgainstNetworkx:
+    """Certificates and graph6 against networkx, which shares no code with
+    them, on seeded graphs with up to 12 vertices."""
+
+    @staticmethod
+    def _pool(nx):
+        rng = random.Random(2027)
+        pool = [reference.random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
+                for _ in range(40)]
+        # regular graphs share every degree count, and the census classes
+        # are the graphs the oracle tells apart by certificate alone
+        for d, n, seed in itertools.product((3, 4), (8, 10, 12), (1, 2, 3)):
+            h = nx.random_regular_graph(d, n, seed=seed)
+            pool.append(Graph(n, h.edges()))
+        pool += oracle_graphs(8)
+        return pool + [reference.random_permuted(rng, g) for g in pool]
+
+    def test_equal_certificates_iff_isomorphic(self):
+        nx = pytest.importorskip("networkx")
+        pool = self._pool(nx)
+        nxs = [nx.Graph(list(g.edges())) for g in pool]
+        for h, g in zip(nxs, pool):
+            h.add_nodes_from(range(g.n))
+        certs = [canonical_cert(g) for g in pool]
+        for i, j in itertools.combinations(range(len(pool)), 2):
+            assert (certs[i] == certs[j]) == nx.is_isomorphic(nxs[i], nxs[j]), (pool[i], pool[j])
+
+    def test_graph6_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in self._pool(nx):
+            text = format_graph6(g)
+            h = nx.from_graph6_bytes(text.encode("ascii"))
+            assert parse_graph6(text) == g and h.number_of_nodes() == g.n
+            assert sorted(tuple(sorted(e)) for e in h.edges()) == g.edges()
+            assert nx.to_graph6_bytes(h, header=False).decode("ascii").strip() == text
