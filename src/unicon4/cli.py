@@ -15,14 +15,14 @@ from typing import Optional, Tuple
 
 from . import __version__
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
-from .connectivity import CutWitness, FanWitness, connectivity_report, is_k_connected
+from .connectivity import CutWitness, connectivity_report, is_k_connected
 from .construct import (CertMismatch, DecompositionError, NotUniform, StepInvalid,
                         TraceFormatError, decompose, generate_catalog, replay,
                         trace_from_json, trace_to_json, verify_theorem)
 from .graph_core import (FormatError, Graph, GraphError, canonical_cert, format_edge_list,
                          format_graph6, parse_edge_list, parse_graph6, to_dot)
-from .transform import (Delta1Spec, Delta2Spec, SpecInvalid, _removable, _separated, apply_delta,
-                        is_quasi_4_compatible, reduce_edge)
+from .transform import (Delta1Spec, Delta2Spec, SpecInvalid, _attach, _removable, _separated,
+                        _validated, is_quasi_4_compatible, reduce_edge)
 
 SCHEMA = "unicon4.report/v1"
 
@@ -79,9 +79,7 @@ def _witness_dict(w):
         return None
     if isinstance(w, CutWitness):
         return {"kind": "cut", "vertices": sorted(w.vertices)}
-    if isinstance(w, FanWitness):
-        return {"kind": "five_fan", "pair": list(w.pair), "paths": [list(p) for p in w.paths]}
-    return {"kind": "unknown"}
+    return {"kind": "five_fan", "pair": list(w.pair), "paths": [list(p) for p in w.paths]}
 
 
 def _parse_vertex_list(text: str, what: str) -> Tuple[int, ...]:
@@ -171,6 +169,7 @@ def _cmd_apply(args) -> Tuple[dict, int]:
                           exs, _parse_edge_set(args.ey, "--ey"))
     else:
         raise FormatError(f"unknown operation {args.op!r}")
+    reduced = _validated(g, spec)  # before any verdict: an invalid spec exits 2, naming its clause
     payload = {"schema": SCHEMA, "command": "apply", "op": args.op}
     if args.check_compat:
         rep = is_quasi_4_compatible(g, spec, _budget(args))
@@ -181,7 +180,7 @@ def _cmd_apply(args) -> Tuple[dict, int]:
                                     "added_edge": list(v.added_edge) if v.added_edge else None,
                                     "path": list(v.path)}
             return payload, VERDICT_FALSE
-    out = apply_delta(g, spec)
+    out = _attach(reduced, spec)
     payload["result_graph6"] = format_graph6(out)
     payload["result_n"] = out.n
     return payload, OK

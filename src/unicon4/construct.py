@@ -19,8 +19,8 @@ from .connectivity import is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors, canonical_cert,
                          canonical_form, delete_vertex, find_isomorphism, format_graph6,
                          square_of_cycle, _mask_bits)
-from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, apply_delta,
-                        is_quasi_4_compatible, validate_delta)
+from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, _attach, _clauses,
+                        is_quasi_4_compatible)
 
 TRACE_SCHEMA = "unicon4.trace/v1"
 
@@ -143,7 +143,7 @@ def replay(trace: ConstructionTrace, budget: SearchBudget = DEFAULT_BUDGET,
         if not isinstance(step.spec, want):
             raise StepInvalid(i, f"op {step.op} does not match spec kind")
         try:
-            validate_delta(g, step.spec)
+            reduced = _clauses(g, step.spec)  # g is the base or a checked output: 4-connected
         except SpecInvalid as exc:
             raise StepInvalid(i, str(exc)) from None
         if check_compat:
@@ -151,7 +151,7 @@ def replay(trace: ConstructionTrace, budget: SearchBudget = DEFAULT_BUDGET,
             if not rep.compatible:
                 raise StepInvalid(i, f"parameter set not quasi-4-compatible "
                                      f"({rep.violation.predicate} at {rep.violation.pair})")
-        g = apply_delta(g, step.spec)
+        g = _attach(reduced, step.spec)
         uniform, _ = is_uniformly_4_connected(g)
         if not uniform:
             raise StepInvalid(i, "step output is not uniformly 4-connected")
@@ -238,7 +238,7 @@ def decompose(g: Graph) -> ConstructionTrace:
             if not host_uniform:
                 continue
             try:
-                validate_delta(host, spec)
+                _clauses(host, spec)  # host was just checked uniformly 4-connected
             except SpecInvalid:
                 continue
             try:
@@ -249,7 +249,8 @@ def decompose(g: Graph) -> ConstructionTrace:
             if iso is None:
                 raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
-            out = apply_delta(rebuilt, moved)
+            # rebuilt is isomorphic to the uniformly 4-connected host
+            out = _attach(_clauses(rebuilt, moved), moved)
             if canonical_cert(out) != cert:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
@@ -385,16 +386,10 @@ def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
                     yield Delta2Spec(xs, ys, exs, eys)
 
 
-_generation_cache: Dict[Tuple[int, SearchBudget], GenerationResult] = {}
-
-
 def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> GenerationResult:
     """Closure of the two bases under compatible expansions, up to n_max."""
     if not 5 <= n_max <= 9:
         raise GraphError("generation is supported for 5 <= n_max <= 9")
-    key = (n_max, budget)
-    if key in _generation_cache:
-        return _generation_cache[key]
     by_n: Dict[int, Dict[bytes, Graph]] = {n: {} for n in range(5, n_max + 1)}
     for tag in BASE_TAGS:
         b = base_graph(tag)
@@ -406,7 +401,7 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     def consider(host: Graph, spec: CompatSet) -> None:
         nonlocal budget_hits
         try:
-            validate_delta(host, spec)
+            reduced = _clauses(host, spec)  # host is a base or a checked output: 4-connected
         except SpecInvalid:
             return
         try:
@@ -416,7 +411,7 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
             return
         if not rep.compatible:
             return
-        out = apply_delta(host, spec)
+        out = _attach(reduced, spec)
         cert = canonical_cert(out)
         if not is_uniformly_4_connected(out)[0]:
             failures.append((cert, repr(spec)))
@@ -437,15 +432,13 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     reps: Dict[bytes, Graph] = {}
     for n in range(5, n_max + 1):
         reps.update(by_n[n])
-    result = GenerationResult(
+    return GenerationResult(
         n_max=n_max,
         certs_by_n={n: frozenset(by_n[n]) for n in range(5, n_max + 1)},
         representatives=reps,
         complete=budget_hits == 0,
         budget_hits=budget_hits,
         soundness_failures=tuple(failures))
-    _generation_cache[key] = result
-    return result
 
 
 def generate_all(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> FrozenSet[bytes]:

@@ -199,12 +199,8 @@ def _check_triple(h: Graph, xs: Tuple[int, ...], label: str) -> None:
         raise SpecInvalid(f"{label}-in-host", f"{label} {xs} leaves the host vertex range")
 
 
-def _induced_pairs(h: Graph, xs: Tuple[int, ...]) -> Tuple[Pair, ...]:
-    return tuple((a, b) for a, b in itertools.combinations(sorted(xs), 2) if h.has_edge(a, b))
-
-
 def _check_edge_subset(h: Graph, xs, picked, label: str) -> None:
-    inside = set(_induced_pairs(h, xs))
+    inside = {(a, b) for a, b in itertools.combinations(sorted(xs), 2) if h.has_edge(a, b)}
     if not inside:
         raise SpecInvalid(f"{label}-induced-nonempty", f"the host has no edge inside {xs}")
     if not picked:
@@ -214,47 +210,36 @@ def _check_edge_subset(h: Graph, xs, picked, label: str) -> None:
         raise SpecInvalid(f"{label}-subset", f"edges {bad} are not host edges inside {xs}")
 
 
-def _shape_check_1(h: Graph, spec: Delta1Spec) -> None:
+def _reduced(h: Graph, spec: CompatSet) -> Graph:
+    """The host minus the spec's removed edges, once the shape clauses hold."""
     _check_triple(h, spec.x_set, "x_set")
-    if not 0 <= spec.y_vertex < h.n or spec.y_vertex in spec.x_set:
-        raise SpecInvalid("y-outside-x", f"attachment vertex {spec.y_vertex} must lie outside {spec.x_set}")
-    _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
-
-
-def _shape_check_2(h: Graph, spec: Delta2Spec) -> None:
-    _check_triple(h, spec.x_set, "x_set")
+    if isinstance(spec, Delta1Spec):
+        if not 0 <= spec.y_vertex < h.n or spec.y_vertex in spec.x_set:
+            raise SpecInvalid("y-outside-x",
+                              f"attachment vertex {spec.y_vertex} must lie outside {spec.x_set}")
+        _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
+        return remove_edges(h, spec.ex_edges)
     _check_triple(h, spec.y_set, "y_set")
     if len(set(spec.x_set) & set(spec.y_set)) > 2:
         raise SpecInvalid("x-y-overlap", "the 3-sets may share at most 2 vertices")
     _check_edge_subset(h, spec.x_set, spec.ex_edges, "ex")
     _check_edge_subset(h, spec.y_set, spec.ey_edges, "ey")
+    return remove_edges(h, set(spec.ex_edges) | set(spec.ey_edges))
 
 
-def validate_delta1(h: Graph, spec: Delta1Spec) -> None:
-    if not is_k_connected(h, 4):
-        raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
-    _shape_check_1(h, spec)
-    # the reduced host equals the expansion minus its new vertex, so one
+def _clauses(h: Graph, spec: CompatSet) -> Graph:
+    """The reduced host, once every defining clause but the host's own
+    4-connectivity holds; callers that know h is 4-connected skip that one."""
+    reduced = _reduced(h, spec)
+    # the reduced host equals the expansion minus its new vertices, so one
     # connectivity computation covers both stated quantities
-    if vertex_connectivity(remove_edges(h, spec.ex_edges)) < 3:
-        raise ConnectivityTooLow("reduced-kappa-3", "host minus removed edges must stay 3-connected")
-
-
-def apply_delta1(h: Graph, spec: Delta1Spec) -> Graph:
-    validate_delta1(h, spec)
-    g = remove_edges(h, spec.ex_edges)
-    return add_vertex_with_neighbors(g, list(spec.x_set) + [spec.y_vertex])
-
-
-def validate_delta2(h: Graph, spec: Delta2Spec) -> None:
-    if not is_k_connected(h, 4):
-        raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
-    _shape_check_2(h, spec)
-    reduced = remove_edges(h, set(spec.ex_edges) | set(spec.ey_edges))
     kappa = vertex_connectivity(reduced)
-    if kappa < 2:
+    if isinstance(spec, Delta1Spec):
+        if kappa < 3:
+            raise ConnectivityTooLow("reduced-kappa-3", "host minus removed edges must stay 3-connected")
+    elif kappa < 2:
         raise ConnectivityTooLow("reduced-kappa-2", "host minus removed edges must stay 2-connected")
-    if kappa == 2:
+    elif kappa == 2:
         xs, ys = set(spec.x_set), set(spec.y_set)
         for end in ends(reduced):
             body = end.fragment.body
@@ -263,24 +248,49 @@ def validate_delta2(h: Graph, spec: Delta2Spec) -> None:
                     "end-coverage",
                     f"end {sorted(body)} of the reduced host misses one of the 3-sets",
                     body)
+    return reduced
+
+
+def _attach(reduced: Graph, spec: CompatSet) -> Graph:
+    """The expansion: the new vertex, or the new adjacent pair, on the reduced host."""
+    if isinstance(spec, Delta1Spec):
+        return add_vertex_with_neighbors(reduced, list(spec.x_set) + [spec.y_vertex])
+    g = add_vertex_with_neighbors(reduced, spec.x_set)           # new vertex reduced.n
+    return add_vertex_with_neighbors(g, list(spec.y_set) + [reduced.n])
+
+
+def _validated(h: Graph, spec: CompatSet) -> Graph:
+    """The reduced host, once every defining clause holds."""
+    if not is_k_connected(h, 4):
+        raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
+    return _clauses(h, spec)
+
+
+# six functions, not aliases, so that rebinding one name leaves the others alone
+
+
+def validate_delta1(h: Graph, spec: Delta1Spec) -> None:
+    _validated(h, spec)
+
+
+def apply_delta1(h: Graph, spec: Delta1Spec) -> Graph:
+    return _attach(_validated(h, spec), spec)
+
+
+def validate_delta2(h: Graph, spec: Delta2Spec) -> None:
+    _validated(h, spec)
 
 
 def apply_delta2(h: Graph, spec: Delta2Spec) -> Graph:
-    validate_delta2(h, spec)
-    g = remove_edges(h, set(spec.ex_edges) | set(spec.ey_edges))
-    g = add_vertex_with_neighbors(g, spec.x_set)           # new vertex h.n
-    return add_vertex_with_neighbors(g, list(spec.y_set) + [h.n])
+    return _attach(_validated(h, spec), spec)
 
 
 def apply_delta(h: Graph, spec: CompatSet) -> Graph:
-    return apply_delta1(h, spec) if isinstance(spec, Delta1Spec) else apply_delta2(h, spec)
+    return _attach(_validated(h, spec), spec)
 
 
 def validate_delta(h: Graph, spec: CompatSet) -> None:
-    if isinstance(spec, Delta1Spec):
-        validate_delta1(h, spec)
-    else:
-        validate_delta2(h, spec)
+    _validated(h, spec)
 
 
 # -- quasi-4-compatibility -----------------------------------------------------
@@ -303,14 +313,13 @@ def is_quasi_4_compatible(h: Graph, spec: CompatSet,
     """Decide whether the parameter set passes every path-exclusion
     condition of its type; the first failing pair is reported with a
     re-validated witness."""
+    reduced = _reduced(h, spec)
     if isinstance(spec, Delta1Spec):
-        return _compat_type1(h, spec, budget)
-    return _compat_type2(h, spec, budget)
+        return _compat_type1(reduced, spec, budget)
+    return _compat_type2(reduced, spec, budget)
 
 
-def _compat_type1(h: Graph, spec: Delta1Spec, budget: SearchBudget) -> CompatReport:
-    _shape_check_1(h, spec)
-    reduced = remove_edges(h, spec.ex_edges)
+def _compat_type1(reduced: Graph, spec: Delta1Spec, budget: SearchBudget) -> CompatReport:
     # triangle pairs first: their verdicts are shared across attachment vertices
     pairs = [e for e in _triangle(spec.x_set) if e not in spec.ex_edges]
     pairs += [(u, spec.y_vertex) for u in spec.x_set]
@@ -321,10 +330,8 @@ def _compat_type1(h: Graph, spec: Delta1Spec, budget: SearchBudget) -> CompatRep
     return CompatReport(True, None)
 
 
-def _compat_type2(h: Graph, spec: Delta2Spec, budget: SearchBudget) -> CompatReport:
-    _shape_check_2(h, spec)
+def _compat_type2(reduced: Graph, spec: Delta2Spec, budget: SearchBudget) -> CompatReport:
     xs, ys = set(spec.x_set), set(spec.y_set)
-    reduced = remove_edges(h, set(spec.ex_edges) | set(spec.ey_edges))
 
     # (i): plain path exclusion across the two 3-sets and on triangle
     # pairs whose edge is not being removed

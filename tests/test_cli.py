@@ -4,7 +4,8 @@ import json
 import pytest
 
 from unicon4 import (complete_graph, format_edge_list, format_graph6, k6_minus_edge,
-                     octahedron, parse_edge_list, parse_graph6, square_of_cycle)
+                     octahedron, octahedron_plus, parse_edge_list, parse_graph6,
+                     square_of_cycle)
 from unicon4 import chording, cli, connectivity, transform
 from unicon4.cli import main
 
@@ -136,6 +137,16 @@ class TestApply:
         code, doc = run(capsys, "apply", files["c6sq"], "--op", "delta1",
                         "--x", "0,1,3", "--y", "4", "--ex", "0-3")
         assert code == 2 and "ex-" in doc["message"]
+
+    def test_invalid_spec_is_rejected_before_compat(self, capsys, tmp_path):
+        # reduced-kappa-3 fails; no compatibility verdict may be given first
+        p = tmp_path / "octplus.g6"
+        p.write_text(format_graph6(octahedron_plus()) + "\n")
+        argv = ["apply", str(p), "--op", "delta1", "--x", "0,1,2", "--y", "3", "--ex", "0-1,1-2"]
+        for extra in ([], ["--check-compat"]):
+            code, doc = run(capsys, *argv, *extra)
+            assert code == 2 and "compatible" not in doc
+            assert doc["message"].startswith("reduced-kappa-3:")
 
     def test_delta2(self, capsys, files):
         code, doc = run(capsys, "apply", files["c6sq"], "--op", "delta2",

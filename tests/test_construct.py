@@ -147,9 +147,7 @@ class TestGenerate:
             assert is_uniformly_4_connected(rep)[0]
 
     def test_deterministic(self):
-        construct._generation_cache.clear()
         first = generate_catalog(7)
-        construct._generation_cache.clear()
         second = generate_catalog(7)
         assert first.certs_by_n == second.certs_by_n
 
@@ -166,14 +164,12 @@ class TestGenerate:
         got = []
         try:
             for warm in (False, True):
-                construct._generation_cache.clear()
                 chording.clear_caches()
                 if warm:
                     generate_catalog(6)
                 cat = generate_catalog(6, budget)
                 got.append((cat.complete, cat.budget_hits))
         finally:
-            construct._generation_cache.clear()
             chording.clear_caches()
         assert got == [(False, 60), (False, 60)]
 
@@ -184,14 +180,28 @@ class TestGenerate:
                             lambda *a, **k: transform.CompatReport(True, None))
         monkeypatch.setattr(construct, "is_quasi_4_compatible",
                             lambda *a, **k: transform.CompatReport(True, None))
-        construct._generation_cache.clear()
-        try:
-            rep = verify_theorem(6)
-            assert rep.soundness_failures
-            assert not rep.holds
-            assert rep.generated_by_n[6] == rep.oracle_by_n[6]
-        finally:
-            construct._generation_cache.clear()
+        rep = verify_theorem(6)
+        assert rep.soundness_failures
+        assert not rep.holds
+        assert rep.generated_by_n[6] == rep.oracle_by_n[6]
+
+    def test_hosts_are_not_rechecked(self, monkeypatch):
+        # every host of generation, decomposition and replay is a base or an
+        # already checked uniformly 4-connected graph, so none is checked for
+        # 4-connectivity again, spec by spec
+        calls = []
+        original = transform.is_k_connected
+
+        def counting(h, k):
+            calls.append(h)
+            return original(h, k)
+
+        monkeypatch.setattr(transform, "is_k_connected", counting)
+        cat = generate_catalog(7)
+        assert cat.certs_by_n[7] == brute_force_uniform(7)
+        g = oracle_graphs(7)[0]
+        assert canonical_cert(replay(decompose(g))) == canonical_cert(g)
+        assert calls == []
 
 
 class TestDecompose:

@@ -1,7 +1,12 @@
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "unicon4"
+from unicon4 import chording
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "unicon4"
 
 
 def test_no_assert_guards_in_src():
@@ -18,7 +23,7 @@ def test_no_assert_guards_in_src():
 
 # the module-level caches of the package; performance work moves caches out
 # into explicit state, never in, so this set may only shrink
-MODULE_CACHES = {"_verdicts", "_fan_levels", "_simple_paths", "_generation_cache"}
+MODULE_CACHES = {"_verdicts", "_fan_levels", "_simple_paths"}
 CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque",
               "WeakKeyDictionary", "WeakValueDictionary"}
 
@@ -73,3 +78,18 @@ def test_module_state_finder_sees_each_form():
         "@cache\ndef _f(x):\n    return x\n"
         "def g():\n    global _h\n    _h = 1\n")
     assert _module_state(tree) == {"_a", "_b", "_c", "_d", "_e", "_f", "_h"}
+
+
+def test_bench_tracer_names_resolve(monkeypatch):
+    # the benchmark's tracer wraps functions and reads caches by name, and
+    # the bench suite is not part of this one; a rename must fail here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{fn}" for mod, fns in spans.GROUPS.values() for fn in fns
+               if not callable(getattr(importlib.import_module(f"unicon4.{mod}"), fn, None))]
+    assert missing == []
+    assert set(spans.OUTCOME) <= set(spans.GROUP_OF)
+    metrics = spans.cache_metrics(chording)
+    assert metrics["chording.verdicts.size"] == len(chording._verdicts)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -10,7 +11,8 @@ from unicon4 import (ConnectivityTooLow, Delta1Spec, Delta2Spec, EndCoverageViol
                      octahedron, octahedron_plus, reduce_edge, removable_edges, remove_edges,
                      square_of_cycle, validate_delta1, validate_delta2, vertex_connectivity,
                      verify_witness)
-from unicon4 import chording
+from unicon4 import apply_delta, chording, format_graph6
+from unicon4.construct import _delta1_specs, _delta2_specs
 
 import reference
 
@@ -241,6 +243,27 @@ class TestDelta2:
                 if hit_ok and hit_bad:
                     return
         assert hit_ok and hit_bad, (hit_ok, hit_bad)
+
+
+class TestEveryClause:
+    def test_outcome_of_every_spec_is_pinned(self):
+        # each spec of both types on five small hosts, one of them not
+        # 4-connected: the clause apply_delta rejects it by, or the graph it
+        # builds; the digest was taken from the earlier per-type clause checks
+        digest = hashlib.sha256()
+        count = 0
+        for h in (complete_graph(5), octahedron(), octahedron_plus(), k6_minus_edge(),
+                  cycle_graph(6)):
+            for spec in [*_delta1_specs(h), *_delta2_specs(h)]:
+                try:
+                    outcome = format_graph6(apply_delta(h, spec))
+                except SpecInvalid as exc:
+                    outcome = exc.clause
+                digest.update(f"{spec!r} {outcome}\n".encode())
+                count += 1
+        assert count == 20586
+        assert digest.hexdigest() == (
+            "32e469de073a467a9507b28f86f14550678a0ddc812ce1d7d071bc075aaf1141")
 
 
 class TestCompat:
