@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .connectivity import is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors, canonical_cert,
-                         canonical_form, delete_vertex, find_isomorphism, format_graph6,
-                         square_of_cycle, _mask_bits)
+from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors,
+                         automorphism_group, canonical_cert, canonical_form, delete_vertex,
+                         find_isomorphism, format_graph6, square_of_cycle, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, _attach, _clauses,
                         is_quasi_4_compatible)
 
@@ -261,7 +262,7 @@ def decompose(g: Graph) -> ConstructionTrace:
     return ConstructionTrace(tag, tuple(steps))
 
 
-def _map_spec(spec: CompatSet, iso: Dict[int, int]) -> CompatSet:
+def _map_spec(spec: CompatSet, iso: Union[Dict[int, int], Tuple[int, ...]]) -> CompatSet:
     def me(edges):
         return tuple((iso[a], iso[b]) for a, b in edges)
     if isinstance(spec, Delta1Spec):
@@ -386,8 +387,38 @@ def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
                     yield Delta2Spec(xs, ys, exs, eys)
 
 
+def _kn_path_count(n: int) -> int:
+    """The number of simple u-v paths in K_n, the most that any graph on
+    n vertices has between two of its vertices."""
+    return sum(math.factorial(n - 2) // math.factorial(k) for k in range(n - 1))
+
+
+def _image(spec: CompatSet, perm: Tuple[int, ...]) -> CompatSet:
+    """The spec moved by a host automorphism, in the form the enumeration
+    yields: a delta-2 image whose x_set sorts after its y_set swaps sides."""
+    moved = _map_spec(spec, perm)
+    if isinstance(moved, Delta2Spec) and moved.x_set > moved.y_set:
+        return Delta2Spec(moved.y_set, moved.x_set, moved.ey_edges, moved.ex_edges)
+    return moved
+
+
 def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> GenerationResult:
-    """Closure of the two bases under compatible expansions, up to n_max."""
+    """Closure of the two bases under compatible expansions, up to n_max.
+
+    Each host's specs are checked once per orbit of its automorphism group.
+    An automorphism maps the reduced host of a spec isomorphically onto the
+    reduced host of the image spec, so the clauses, every complete path
+    sweep, the output's certificate and its uniformity agree across the
+    orbit.  The delta-2 clauses and compatibility conditions are symmetric
+    in the two sides, so an image with its sides swapped back into
+    enumeration order has the same outcome.  A sweep the budget truncates
+    keeps the first max_paths paths in label order, which an automorphism
+    does not preserve; so the outcome is reused only when no sweep on the
+    host can be truncated (max_len None or at least the host order, and
+    max_paths at least the path count of the complete graph on that many
+    vertices), and otherwise every spec is checked on its own.  Soundness
+    failures are still reported once per failing spec, in enumeration order.
+    """
     if not 5 <= n_max <= 9:
         raise GraphError("generation is supported for 5 <= n_max <= 9")
     by_n: Dict[int, Dict[bytes, Graph]] = {n: {} for n in range(5, n_max + 1)}
@@ -398,36 +429,44 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     budget_hits = 0
     failures: List[Tuple[bytes, str]] = []
 
-    def consider(host: Graph, spec: CompatSet) -> None:
-        nonlocal budget_hits
+    def outcome(host: Graph, spec: CompatSet) -> Optional[Tuple[bytes, bool]]:
+        """None when the spec gives no output, else the output's certificate
+        and uniformity; a uniform output joins the catalog."""
         try:
             reduced = _clauses(host, spec)  # host is a base or a checked output: 4-connected
         except SpecInvalid:
-            return
-        try:
-            rep = is_quasi_4_compatible(host, spec, budget)
-        except BudgetExceeded:
-            budget_hits += 1
-            return
-        if not rep.compatible:
-            return
+            return None
+        if not is_quasi_4_compatible(host, spec, budget).compatible:
+            return None
         out = _attach(reduced, spec)
         cert = canonical_cert(out)
-        if not is_uniformly_4_connected(out)[0]:
-            failures.append((cert, repr(spec)))
-            return
-        if cert not in by_n[out.n]:
+        uniform = is_uniformly_4_connected(out)[0]
+        if uniform and cert not in by_n[out.n]:
             by_n[out.n][cert] = canonical_form(out)
+        return cert, uniform
 
     for n in range(5, n_max + 1):
+        untruncated = ((budget.max_len is None or budget.max_len >= n)
+                       and budget.max_paths >= _kn_path_count(n))
         for cert in sorted(by_n[n]):
             host = by_n[n][cert]
-            if n + 1 <= n_max:
-                for spec in _delta1_specs(host):
-                    consider(host, spec)
-            if n + 2 <= n_max:
-                for spec in _delta2_specs(host):
-                    consider(host, spec)
+            autos = automorphism_group(host) if untruncated else ()
+            known: Dict[CompatSet, Optional[Tuple[bytes, bool]]] = {}
+            specs = itertools.chain(_delta1_specs(host) if n + 1 <= n_max else (),
+                                    _delta2_specs(host) if n + 2 <= n_max else ())
+            for spec in specs:
+                if spec in known:
+                    result = known[spec]
+                else:
+                    try:
+                        result = outcome(host, spec)
+                    except BudgetExceeded:
+                        budget_hits += 1
+                        continue
+                    for perm in autos:
+                        known[_image(spec, perm)] = result
+                if result is not None and not result[1]:
+                    failures.append((result[0], repr(spec)))
 
     reps: Dict[bytes, Graph] = {}
     for n in range(5, n_max + 1):

@@ -387,6 +387,33 @@ def canonical_labeling(g: Graph) -> Tuple[int, ...]:
     return _CanonSearch(g._adj, g.n).run()
 
 
+def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """Every automorphism of g as a tuple p mapping v to p[v], sorted.
+
+    The canonical search records an automorphism for each leaf it reaches
+    that ties the best leaf, and prunes only subtrees that are images of
+    explored ones under recorded automorphisms.  So every leaf that ties
+    the best leaf is reached from it by a product of recorded ones, and
+    since an automorphism is fixed by where it sends the best leaf, the
+    records generate the whole group.
+    """
+    if g.n > MAX_ORDER:
+        raise GraphError(f"automorphisms supported up to n={MAX_ORDER}, got {g.n}")
+    search = _CanonSearch(g._adj, g.n)
+    search.run()
+    gens = [tuple(a[v] for v in range(g.n)) for a in search.autos]
+    group = {tuple(range(g.n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return tuple(sorted(group))
+
+
 def canonical_form(g: Graph) -> Graph:
     order = canonical_labeling(g)
     pos = {old: i for i, old in enumerate(order)}

@@ -8,7 +8,7 @@ from unicon4 import (BudgetExceeded, Graph, GraphError, SearchBudget, classify_q
                      exists_quasi_3cc_path, exists_quasi_chord, is_e_plus_quasi_3cc,
                      octahedron, remove_edges, square_of_cycle, validate_path,
                      verify_witness)
-from unicon4 import chording
+from unicon4 import chording, construct
 
 import reference
 
@@ -285,6 +285,19 @@ class TestBudget:
             u, v = rng.sample(range(8), 2)
             got = exists_quasi_3cc_path(g, u, v)  # must not raise
             assert got == reference_exists_q3cc(g, u, v)
+
+    def test_complete_graph_path_count_bounds_every_sweep(self):
+        # K_n has the most simple u-v paths of any n-vertex graph; a budget
+        # of that many paths truncates no sweep on n vertices
+        for n in range(3, 10):
+            bound = construct._kn_path_count(n)
+            paths, complete = chording._simple_paths(complete_graph(n), 0, 1, bound, n)
+            assert complete and len(paths) == bound == len(set(paths))
+            if n <= 7:
+                assert len(reference.all_simple_paths(complete_graph(n), 0, 1)) == bound
+            _, complete = chording._simple_paths(complete_graph(n), 0, 1, bound - 1, n)
+            assert not complete
+        assert [construct._kn_path_count(n) for n in (8, 9)] == [1957, 13700]
 
     def test_budget_fields_positive(self):
         with pytest.raises(GraphError):

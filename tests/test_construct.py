@@ -9,7 +9,7 @@ from unicon4 import (CertMismatch, Graph, GraphError, NotUniform, SearchBudget, 
                      complete_graph, decompose, generate_all, generate_catalog,
                      is_uniformly_4_connected, octahedron, oracle_graphs, replay,
                      square_of_cycle, trace_from_json, trace_to_json, verify_theorem)
-from unicon4 import chording, construct, transform
+from unicon4 import chording, construct, graph_core, transform
 from unicon4.graph_core import are_isomorphic, format_graph6, relabel
 
 import reference
@@ -202,6 +202,78 @@ class TestGenerate:
         g = oracle_graphs(7)[0]
         assert canonical_cert(replay(decompose(g))) == canonical_cert(g)
         assert calls == []
+
+
+    def test_results_pinned_across_budgets(self, monkeypatch):
+        # sha256 over the per-order certificates with their representatives'
+        # graph6, completeness, budget hits and soundness failures of every
+        # run below, computed when each spec was still checked on its own
+        def doc(cat):
+            return {"orders": {str(n): [[c.decode("ascii"), format_graph6(cat.representatives[c])]
+                                        for c in sorted(certs)]
+                               for n, certs in sorted(cat.certs_by_n.items())},
+                    "complete": cat.complete, "budget_hits": cat.budget_hits,
+                    "failures": [[c.decode("ascii"), s] for c, s in cat.soundness_failures]}
+
+        runs = [doc(generate_catalog(n)) for n in (6, 7, 8)]
+        for budget in (SearchBudget(max_paths=1), SearchBudget(max_paths=3),
+                       SearchBudget(max_len=4)):
+            runs += [doc(generate_catalog(n, budget)) for n in (6, 7)]
+        assert [(r["complete"], r["budget_hits"]) for r in runs[3:]] == [(False, 60), (False, 864)] * 3
+        monkeypatch.setattr(construct, "is_quasi_4_compatible",
+                            lambda *a, **k: transform.CompatReport(True, None))
+        runs += [doc(generate_catalog(n))["failures"] for n in (6, 7)]
+        assert [len(r) for r in runs[-2:]] == [60, 570]
+        assert hashlib.sha256(json.dumps(runs).encode("ascii")).hexdigest() == (
+            "cf9d1503df9eab6711a7faed4b312d5716339135b26e824340daf91deaa2650a")
+
+    def test_each_spec_orbit_is_checked_once(self, monkeypatch):
+        checked = []
+        real = construct.is_quasi_4_compatible
+
+        def counting(h, spec, budget):
+            checked.append((h, spec))
+            return real(h, spec, budget)
+
+        monkeypatch.setattr(construct, "is_quasi_4_compatible", counting)
+        cat = generate_catalog(8)
+        assert cat.complete and not cat.soundness_failures
+        # the 8,703 specs of the six hosts fall into 333 orbits under the
+        # hosts' automorphism groups; 3,921 specs pass their clauses
+        assert len(checked) <= 333
+        orbits = {(h, frozenset(construct._image(spec, p) for p in graph_core.automorphism_group(h)))
+                  for h, spec in checked}
+        assert len(orbits) == len(checked)
+
+    def test_truncating_budget_checks_every_spec(self, monkeypatch):
+        # a truncated sweep keeps the first paths in label order, which an
+        # automorphism does not preserve, so no outcome is reused
+        passed, checked = [], []
+        real_clauses, real_compat = construct._clauses, construct.is_quasi_4_compatible
+
+        def clauses(h, spec):
+            reduced = real_clauses(h, spec)
+            passed.append(spec)
+            return reduced
+
+        def compat(h, spec, budget):
+            checked.append(spec)
+            return real_compat(h, spec, budget)
+
+        monkeypatch.setattr(construct, "_clauses", clauses)
+        monkeypatch.setattr(construct, "is_quasi_4_compatible", compat)
+        cat = generate_catalog(6, SearchBudget(max_paths=1))
+        assert (cat.complete, cat.budget_hits) == (False, 60)
+        assert checked == passed and len(passed) > 3  # K5's delta-1 specs form 3 orbits
+
+    def test_n9_closure_misses_four_census_classes(self):
+        cat = generate_catalog(9)
+        assert cat.complete and not cat.soundness_failures
+        assert len(cat.certs_by_n[9]) == 45
+        census = brute_force_uniform(9)
+        assert cat.certs_by_n[9] <= census
+        assert sorted(c.decode("ascii") for c in census - cat.certs_by_n[9]) == [
+            "H@UfMr{", "H@^EnIw", "HBYmdZR", "HBjBc^{"]
 
 
 class TestDecompose:

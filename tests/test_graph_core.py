@@ -253,6 +253,15 @@ class TestCanonical:
         with pytest.raises(GraphError):
             canonical_cert(Graph(17))
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=8))
+    def test_automorphisms_preserve_edges(self, g):
+        group = graph_core.automorphism_group(g)
+        assert group[0] == tuple(range(g.n))
+        for p in group:
+            assert sorted(p) == list(range(g.n))
+            assert relabel(g, dict(enumerate(p))) == g
+
 
 class TestAgainstNetworkx:
     """Certificates and graph6 against networkx, which shares no code with
@@ -289,3 +298,15 @@ class TestAgainstNetworkx:
             assert parse_graph6(text) == g and h.number_of_nodes() == g.n
             assert sorted(tuple(sorted(e)) for e in h.edges()) == g.edges()
             assert nx.to_graph6_bytes(h, header=False).decode("ascii").strip() == text
+
+    def test_automorphism_group_order_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        hosts = [complete_graph(5), octahedron()] + list(oracle_graphs(7)) + list(oracle_graphs(8))
+        orders = []
+        for g in hosts:
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(g.n))
+            matcher = nx.algorithms.isomorphism.GraphMatcher(h, h)
+            orders.append(len(graph_core.automorphism_group(g)))
+            assert orders[-1] == sum(1 for _ in matcher.isomorphisms_iter()), format_graph6(g)
+        assert orders[:2] == [120, 48]
