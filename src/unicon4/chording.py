@@ -10,7 +10,11 @@ only at its endpoints.
 
 The existence queries quantify over all simple u-v paths.  Enumeration is
 exhaustive but budgeted: a truncated search that found no witness raises
-BudgetExceeded instead of answering False.
+BudgetExceeded instead of answering False.  Most paths are settled
+without a flow: every detour but a direct edge leaves each end through its
+own off-path neighbour, so the off-path degrees of a subpath's ends (plus
+the direct edge) cap its detours, and a path on which no cap reaches the
+level a predicate reads is skipped.
 """
 
 from __future__ import annotations
@@ -147,7 +151,7 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
     """
     adj = g._adj
     rest = _off_path(g.n, p)
-    deg = [bin(adj[x] & rest).count("1") for x in p]
+    deg = [(adj[x] & rest).bit_count() for x in p]
     comps = _components(adj, rest)
     out = []
     for i, j in _subpaths(p):
@@ -155,7 +159,7 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
         direct = 1 if j > i + 1 and adj[a] >> b & 1 else 0
         cap = min(deg[i] + direct, deg[j] + direct, 3)
         common = adj[a] & adj[b] & rest
-        known = direct + bin(common).count("1")
+        known = direct + common.bit_count()
         if known >= cap:
             out.append(cap)
         elif cap - known == 1 and not common:
@@ -164,6 +168,27 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
             alive = (rest & ~common) | (1 << a) | (1 << b)
             out.append(known + len(_flow_paths(adj, a, b, cap - known, alive, (a, b))))
     return tuple(out)
+
+
+def _may_reach(adj: Sequence[int], p: PathVerts, k: int) -> bool:
+    """Whether some subpath (i,j) of p has a degree cap of at least k, 1 <= k <= 3.
+
+    The cap of (i,j) is min(deg_R(a), deg_R(b)) + [j > i+1 and ab is an
+    edge], where R is the set of vertices off p and a, b = p[i], p[j].  It
+    bounds the level of (i,j) from above, since the detours are internally
+    disjoint: every one other than the edge ab leaves a through its own
+    off-path neighbour and enters b through its own.  So when this is
+    False, no level of p reaches k, and skipping p changes no answer.
+    """
+    rest = _off_path(len(adj), p)
+    strong, near = 0, []  # vertices of off-path degree >= k; positions of those >= k-1
+    for i, x in enumerate(p):
+        d = (adj[x] & rest).bit_count()
+        if d >= k - 1:
+            near.append(i)
+            strong += d >= k
+    return strong >= 2 or any(j > i + 1 and adj[p[i]] >> p[j] & 1
+                              for i, j in itertools.combinations(near, 2))
 
 
 def _witness(g: Graph, p: PathVerts, i: int, j: int) -> ChordingWitness:
@@ -178,6 +203,8 @@ def _witness(g: Graph, p: PathVerts, i: int, j: int) -> ChordingWitness:
 
 
 def _chording_witness(g: Graph, p: PathVerts) -> Optional[ChordingWitness]:
+    if not _may_reach(g._adj, p, 3):
+        return None
     levels = _fan_levels(g, p)
     if 3 not in levels:
         return None
@@ -246,16 +273,20 @@ def is_e_plus_quasi_3cc(g: Graph, path: Sequence[int], e: Pair) -> bool:
 def _eplus_hits(g: Graph, p: PathVerts, e: Pair) -> Optional[ChordingWitness]:
     """The verified witness in g+e for a path of g that is not quasi
     3-circuit chording in g but is in g+e, or None."""
+    # a hit is a level 3 in g+e; levels only grow when e is added, so without
+    # a cap of 3 in g+e there is no level 3 in g or in g+e, and no hit
+    a, b = e
+    adj2 = list(g._adj)
+    adj2[a] |= 1 << b
+    adj2[b] |= 1 << a
+    if not _may_reach(adj2, p, 3):
+        return None
     levels = _fan_levels(g, p)
     if 3 in levels:
         return None
     # adding one edge raises any local connectivity by at most 1, so only
     # subpaths currently at level 2 can reach 3; the edge must also survive
     # the deletion of the path remainder
-    a, b = e
-    adj2 = list(g._adj)
-    adj2[a] |= 1 << b
-    adj2[b] |= 1 << a
     rest = _off_path(g.n, p)
     for (i, j), level in zip(_subpaths(p), levels):
         if level != 2:
@@ -328,8 +359,12 @@ def find_quasi_chord(g: Graph, u: int, v: int,
     adjacent in g.
     """
     def arcs(p):
-        # a suitable cycle = two internally-disjoint u-v paths of length >= 2
-        found = _flow_paths(g._adj, u, v, 2, _off_path(g.n, p) | (1 << u) | (1 << v), (u, v))
+        # a suitable cycle = two internally-disjoint u-v paths of length >= 2;
+        # each leaves u and enters v through its own off-path neighbour
+        rest = _off_path(g.n, p)
+        if min((g._adj[u] & rest).bit_count(), (g._adj[v] & rest).bit_count()) < 2:
+            return None
+        found = _flow_paths(g._adj, u, v, 2, rest | (1 << u) | (1 << v), (u, v))
         return (tuple(found[0]), tuple(found[1])) if len(found) >= 2 else None
     return _sweep(("qchord", g, u, v), g, u, v, budget, arcs, f"quasi chord {u}-{v}")
 

@@ -286,9 +286,9 @@ def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
-    avail = [v for v in range(k) if k - 1 - bin(adj[v]).count("1") < maxdeg]
+    avail = [v for v in range(k) if k - 1 - adj[v].bit_count() < maxdeg]
     tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
-             if bin(adj[a] & adj[b]).count("1") == (3 if adj[a] >> b & 1 else 4)]
+             if (adj[a] & adj[b]).bit_count() == (3 if adj[a] >> b & 1 else 4)]
     full = (1 << k) - 1
     for size in range(min(maxdeg, len(avail)) + 1):
         for miss in itertools.combinations(avail, size):
@@ -297,7 +297,7 @@ def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
                 new ^= 1 << v
             if any(new & t == t for t in tight):
                 continue
-            if any(bin(adj[u] & new).count("1") > (3 if new >> u & 1 else 4) for u in range(k)):
+            if any((adj[u] & new).bit_count() > (3 if new >> u & 1 else 4) for u in range(k)):
                 continue
             yield add_vertex_with_neighbors(parent, _mask_bits(new))
 

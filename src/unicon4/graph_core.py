@@ -59,7 +59,7 @@ class Graph:
         return bool(self._adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return bin(self._adj[v]).count("1")
+        return self._adj[v].bit_count()
 
     def neighbors(self, v: int) -> List[int]:
         return _mask_bits(self._adj[v])
@@ -306,7 +306,7 @@ def _refine(adj: Sequence[int], cells: List[int]) -> List[int]:
                 continue
             groups: Dict[Tuple[int, ...], int] = {}
             for v in _mask_bits(cell):
-                key = tuple(bin(adj[v] & c).count("1") for c in cells)
+                key = tuple((adj[v] & c).bit_count() for c in cells)
                 groups[key] = groups.get(key, 0) | (1 << v)
             if len(groups) == 1:
                 new_cells.append(cell)

@@ -177,7 +177,7 @@ def _separated(g: Graph, x: int, y: int) -> bool:
         cy = next(c for c in comps if c >> y & 1)
         if cx == cy:
             continue
-        if bin(cx).count("1") >= 2 and bin(cy).count("1") >= 2:
+        if cx.bit_count() >= 2 and cy.bit_count() >= 2:
             return True
     return False
 

@@ -163,6 +163,55 @@ class TestFanLevels:
         assert hits == chording_paths
         assert len(calls) <= max_flows
 
+    def test_degree_cap_bound_against_networkx(self):
+        # the graphs and paths of test_against_networkx; the bound may say
+        # "cannot reach k" only when no level, in g and in g+e, reaches k
+        nx = pytest.importorskip("networkx")
+        rng, erng = random.Random(71), random.Random(72)
+        checked = pruned = 0
+        while checked < 150:
+            n = rng.randint(5, 12)
+            g = reference.random_graph(rng, n, rng.choice([0.3, 0.5, 0.7, 0.9]))
+            p = _random_path(rng, g)
+            if len(p) < 2:
+                continue
+            checked += 1
+            missing = [e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)]
+            graphs = [g] + ([Graph(n, g.edges() + [erng.choice(missing)])] if missing else [])
+            for h in graphs:
+                top = max(_nx_levels(nx, h, p))
+                for k in (2, 3):
+                    if not chording._may_reach(h._adj, p, k):
+                        pruned += 1
+                        assert top < k, (h, p, k)
+        assert pruned > 100
+
+    def test_c16_square_replay_runs_no_chording_flow(self, monkeypatch):
+        # every 0-1 path sweep of the replay is settled by the degree caps;
+        # building the fan levels of every path took 5,517 flows
+        trace = construct.decompose(square_of_cycle(16))
+        calls = []
+        flow_paths = chording._flow_paths
+        monkeypatch.setattr(chording, "_flow_paths",
+                            lambda *args: calls.append(args) or flow_paths(*args))
+        construct.replay(trace)
+        assert len(calls) <= 50
+
+
+def _nx_levels(nx, g, p):
+    """The fan level of every subpath of p, from networkx's local connectivity."""
+    levels = []
+    for i, j in chording._subpaths(p):
+        a, b = p[i], p[j]
+        keep = (set(range(g.n)) - set(p)) | {a, b}
+        h = nx.Graph()
+        h.add_nodes_from(keep)
+        h.add_edges_from((x, y) for x, y in g.edges()
+                         if x in keep and y in keep and {x, y} != {a, b})
+        direct = 1 if j > i + 1 and g.has_edge(a, b) else 0
+        levels.append(min(3, direct + nx.algorithms.connectivity.local_node_connectivity(h, a, b)))
+    return levels
+
 
 class TestExistsQ3cc:
     def test_k5(self):
@@ -262,6 +311,30 @@ class TestQuasiChord:
         # 0-2-1 meets it only at the ends; adjacency of 0 and 1 does not
         # matter under this reading
         assert exists_quasi_chord(complete_graph(5), 0, 1)
+
+    def test_agrees_with_networkx(self):
+        # a path p is a quasi chord iff u, v stay 2-connected, without the
+        # edge uv, once the interior of p is deleted
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(5, 8)
+            g = reference.random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            u, v = rng.sample(range(n), 2)
+            full = nx.Graph(g.edges())
+            full.add_nodes_from(range(n))
+            want = False
+            for p in reference.all_simple_paths(g, u, v):
+                h = full.subgraph(set(range(n)) - set(p[1:-1])).copy()
+                if h.has_edge(u, v):
+                    h.remove_edge(u, v)
+                if nx.algorithms.connectivity.local_node_connectivity(h, u, v) >= 2:
+                    want = True
+                    break
+            assert exists_quasi_chord(g, u, v) == want, (g, u, v)
+            seen.add(want)
+        assert seen == {False, True}
 
 
 class TestBudget:

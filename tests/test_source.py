@@ -21,6 +21,27 @@ def test_no_assert_guards_in_src():
     assert found == []
 
 
+def _string_popcounts(tree):
+    """Line numbers of bin(x).count("1") calls, which int.bit_count() replaces."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "count" and isinstance(node.func.value, ast.Call)
+            and _callee(node.func.value) == "bin"]
+
+
+def test_popcounts_use_bit_count():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in _string_popcounts(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_popcount_finder_sees_the_pattern():
+    tree = ast.parse("a = bin(x).count('1')\nb = bin(x & y).count(\"1\")\n"
+                     "c = x.bit_count()\nd = s.count('1')\n")
+    assert _string_popcounts(tree) == [1, 2]
+
+
 # the module-level caches of the package; performance work moves caches out
 # into explicit state, never in, so this set may only shrink
 MODULE_CACHES = {"_verdicts", "_fan_levels", "_simple_paths"}

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -12,7 +13,8 @@ from unicon4 import (ConnectivityTooLow, Delta1Spec, Delta2Spec, EndCoverageViol
                      square_of_cycle, validate_delta1, validate_delta2, vertex_connectivity,
                      verify_witness)
 from unicon4 import apply_delta, chording, format_graph6
-from unicon4.construct import _delta1_specs, _delta2_specs
+from unicon4.construct import _delta1_specs, _delta2_specs, generate_catalog
+from unicon4.transform import _clauses
 
 import reference
 
@@ -264,6 +266,33 @@ class TestEveryClause:
         assert count == 20586
         assert digest.hexdigest() == (
             "32e469de073a467a9507b28f86f14550678a0ddc812ce1d7d071bc075aaf1141")
+
+
+class TestEveryCompatReport:
+    def test_report_of_every_clause_passing_spec_is_pinned(self):
+        # the full report, witness included, of every spec that passes its
+        # clauses: both types on K5 and the octahedron, delta-1 on the four
+        # n = 7 closure hosts and on C9^2; the digest was taken before the
+        # path sweeps skipped paths by their degree caps
+        cat = generate_catalog(7)
+        hosts = [(complete_graph(5), True), (octahedron(), True)]
+        hosts += [(cat.representatives[c], False) for c in sorted(cat.certs_by_n[7])]
+        hosts.append((square_of_cycle(9), False))
+        digest = hashlib.sha256()
+        outcomes = collections.Counter()
+        for h, both in hosts:
+            for spec in [*_delta1_specs(h), *(_delta2_specs(h) if both else ())]:
+                try:
+                    _clauses(h, spec)
+                except SpecInvalid:
+                    continue
+                rep = is_quasi_4_compatible(h, spec)
+                outcomes[rep.violation.predicate if rep.violation else "compatible"] += 1
+                digest.update(repr((spec, rep)).encode())
+        assert outcomes == {"quasi_3cc": 2400, "e_plus_quasi_3cc": 864, "quasi_chord": 180,
+                            "compatible": 1233}
+        assert digest.hexdigest() == (
+            "973ca08a3fe00d007e0349aaee7c81dd366e815e5f636d5e698c32f1556f2efa")
 
 
 class TestCompat:
