@@ -214,7 +214,9 @@ def _cmd_replay(args) -> Tuple[dict, int]:
     payload = {"schema": SCHEMA, "command": "replay",
                "base": trace.base, "steps": len(trace.steps),
                "result_graph6": format_graph6(g), "result_n": g.n,
-               "result_cert": canonical_cert(g).decode("ascii")}
+               # replay checked each step's certificate against its output
+               "result_cert": (trace.steps[-1].post_cert if trace.steps
+                               else canonical_cert(g)).decode("ascii")}
     return payload, OK
 
 
@@ -263,31 +265,28 @@ def _cmd_convert(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="unicon4",
-                                 description="uniformly 4-connected graph toolkit")
-    ap.add_argument("--version", action="version", version=f"unicon4 {__version__}")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _common(p, path: bool, budget: bool) -> None:
+    if path:
+        p.add_argument("path")
+        p.add_argument("--format", choices=["g6", "edges"], default=None,
+                       help="input format; default: by file extension")
+    p.add_argument("--human", action="store_true", help="plain-text output")
+    if budget:  # only the commands that sweep simple paths take one
+        p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths,
+                       help="simple paths per vertex pair")
+        p.add_argument("--max-len", type=int, default=None, help="vertices per path")
 
-    def common(p, path=True, budget=False):
-        if path:
-            p.add_argument("path")
-            p.add_argument("--format", choices=["g6", "edges"], default=None,
-                           help="input format; default: by file extension")
-        p.add_argument("--human", action="store_true", help="plain-text output")
-        if budget:  # only the commands that sweep simple paths take one
-            p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths,
-                           help="simple paths per vertex pair")
-            p.add_argument("--max-len", type=int, default=None, help="vertices per path")
 
-    common(sub.add_parser("analyze", help="connectivity report and uniform-4 verdict"))
-    common(sub.add_parser("removable", help="removability of every edge"))
-    p = sub.add_parser("reduce", help="apply the edge reduction")
-    common(p)
-    p.add_argument("--edge", required=True, help="U,V")
+def _output(p) -> None:
     p.add_argument("-o", "--output", default=None)
-    p = sub.add_parser("apply", help="apply a delta expansion")
-    common(p, budget=True)
+
+
+def _reduce_args(p) -> None:
+    p.add_argument("--edge", required=True, help="U,V")
+    _output(p)
+
+
+def _apply_args(p) -> None:
     p.add_argument("--op", required=True, choices=["delta1", "delta2"])
     p.add_argument("--x", required=True, help="A,B,C")
     p.add_argument("--y", type=int, default=None, help="attachment vertex (delta1)")
@@ -295,24 +294,53 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ex", required=True, help="U-V[,U-V...] edges removed inside --x")
     p.add_argument("--ey", default="", help="U-V[,U-V...] edges removed inside --yset")
     p.add_argument("--check-compat", action="store_true")
-    p = sub.add_parser("decompose", help="trace a construction from a base graph")
-    common(p)
-    p.add_argument("-o", "--output", default=None)
-    p = sub.add_parser("replay", help="rebuild and validate a trace file")
-    common(p, path=False, budget=True)
+
+
+def _replay_args(p) -> None:
     p.add_argument("trace")
     p.add_argument("--skip-compat", action="store_true",
                    help="skip the per-step compatibility re-check")
-    p = sub.add_parser("gen", help="generate all uniformly 4-connected graphs")
-    common(p, path=False, budget=True)
+
+
+def _max_n(p) -> None:
     p.add_argument("--max-n", type=int, required=True)
-    p = sub.add_parser("verify", help="generation vs oracle vs decomposition")
-    common(p, path=False, budget=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p = sub.add_parser("convert", help="convert between graph formats")
-    common(p)
+
+
+def _convert_args(p) -> None:
     p.add_argument("--to", required=True, choices=["g6", "edges", "dot"])
-    p.add_argument("-o", "--output", default=None)
+    _output(p)
+
+
+# name: (help, takes a graph path, takes a path budget, its own arguments)
+_COMMANDS = {
+    "analyze": ("connectivity report and uniform-4 verdict", True, False, None),
+    "removable": ("removability of every edge", True, False, None),
+    "reduce": ("apply the edge reduction", True, False, _reduce_args),
+    "apply": ("apply a delta expansion", True, True, _apply_args),
+    "decompose": ("trace a construction from a base graph", True, False, _output),
+    "replay": ("rebuild and validate a trace file", False, True, _replay_args),
+    "gen": ("generate all uniformly 4-connected graphs", False, True, _max_n),
+    "verify": ("generation vs oracle vs decomposition", False, True, _max_n),
+    "convert": ("convert between graph formats", True, False, _convert_args),
+}
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser, or with `only` a parser holding just that command's
+    sub-parser, which parses that command's lines the same way."""
+    ap = argparse.ArgumentParser(prog="unicon4",
+                                 description="uniformly 4-connected graph toolkit")
+    ap.add_argument("--version", action="version", version=f"unicon4 {__version__}")
+    # the full choice list as metavar keeps the usage line of an error such
+    # as "unrecognized arguments" the same when one sub-parser is built
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
+    for name, (text, path, budget, extra) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            _common(p, path, budget)
+            if extra is not None:
+                extra(p)
     return ap
 
 
@@ -324,7 +352,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command line that names its command needs only that sub-parser
+    args = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
     try:
         payload, code = _HANDLERS[args.cmd](args)
     except BudgetExceeded as exc:

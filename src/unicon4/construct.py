@@ -235,8 +235,9 @@ def decompose(g: Graph) -> ConstructionTrace:
             nodes[0] += 1
             if nodes[0] > DECOMPOSE_CANDIDATES:
                 raise BudgetExceeded(f"decomposition examined {nodes[0]} candidates")
-            host_uniform, _ = is_uniformly_4_connected(host)
-            if not host_uniform:
+            # a vertex of degree < 4 already rules the host out, so skip the
+            # cut witness that is_uniformly_4_connected would build for it
+            if host.min_degree() < 4 or not is_uniformly_4_connected(host)[0]:
                 continue
             try:
                 _clauses(host, spec)  # host was just checked uniformly 4-connected

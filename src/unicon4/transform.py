@@ -3,6 +3,15 @@ expansions (delta-1 adds one new degree-4 vertex, delta-2 a new adjacent
 pair), the edge reduction used to undo them, removability of edges in both
 its direct and its structural 3-separator form, and quasi-4-compatibility
 of an operation's parameter set.
+
+The structural form asks for a 3-set S that splits g - xy, for an edge xy
+of a 4-connected g, into two components holding x and y.  By Menger's
+theorem g has 4 internally disjoint x-y paths, the edge xy among them at
+most once, so g - xy keeps at least 3.  S avoids x and y, so it separates
+them only if it holds an interior vertex of every such path; with 3 paths
+and |S| = 3 it holds exactly one of each, and 4 paths leave no such S.
+So `_separated` runs one flow and tries only the products of the 3 paths'
+interiors, not all C(n - 2, 3) 3-sets.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
-from .connectivity import _components, ends, is_k_connected, vertex_connectivity
+from .connectivity import _components, _flow_paths, ends, is_k_connected, vertex_connectivity
 from .graph_core import Graph, GraphError, add_vertex_with_neighbors, remove_edges
 
 Pair = Tuple[int, int]
@@ -160,13 +169,19 @@ def is_removable_structural(g: Graph, e: Pair) -> bool:
 
 def _separated(g: Graph, x: int, y: int) -> bool:
     """Whether some 3-set splits g - xy as is_removable_structural describes,
-    for an edge x < y of a 4-connected graph on at least 7 vertices."""
-    others = [v for v in range(g.n) if v not in (x, y)]
+    for an edge x < y of a 4-connected graph on at least 7 vertices.
+
+    That precondition gives g - xy at least 3 internally disjoint x-y
+    paths, so only the 3-sets with one vertex on each of them are tried.
+    """
     adj = list(g._adj)
     adj[x] &= ~(1 << y)
     adj[y] &= ~(1 << x)
     full = (1 << g.n) - 1
-    for s in itertools.combinations(others, 3):
+    paths = _flow_paths(adj, x, y, 4, full, None)
+    if len(paths) == 4:
+        return False
+    for s in itertools.product(*(p[1:-1] for p in paths)):
         alive = full
         for c in s:
             alive &= ~(1 << c)

@@ -5,6 +5,7 @@ lists, exhaustive packing / enumeration) and shares no code with the
 package's flow, refinement or pruning machinery.
 """
 
+import collections
 import itertools
 import random
 
@@ -80,3 +81,27 @@ def random_permuted(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def separated_by_3set(g: Graph, x: int, y: int) -> bool:
+    """Whether some 3-set of the other vertices splits g - xy into exactly
+    two components, each of size >= 2, one holding x and the other y: the
+    exhaustive sweep over all C(n - 2, 3) 3-sets, by depth-first search."""
+    for s in itertools.combinations([v for v in range(g.n) if v not in (x, y)], 3):
+        comp = {}
+        for root in range(g.n):
+            if root in s or root in comp:
+                continue
+            comp[root] = root
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                for b in g.neighbors(a):
+                    if b not in s and b not in comp and {a, b} != {x, y}:
+                        comp[b] = root
+                        stack.append(b)
+        sizes = collections.Counter(comp.values())
+        if (len(sizes) == 2 and comp[x] != comp[y]
+                and sizes[comp[x]] >= 2 and sizes[comp[y]] >= 2):
+            return True
+    return False

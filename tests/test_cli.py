@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from unicon4 import (complete_graph, format_edge_list, format_graph6, k6_minus_edge,
-                     octahedron, octahedron_plus, parse_edge_list, parse_graph6,
-                     square_of_cycle)
+from unicon4 import (__version__, add_edges, canonical_cert, complete_graph, format_edge_list,
+                     format_graph6, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
+                     parse_graph6, square_of_cycle, trace_to_json)
 from unicon4 import chording, cli, connectivity, transform
 from unicon4.cli import main
 
@@ -104,6 +104,17 @@ class TestRemovable:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fbbc6d51b52984a7f88553c9bc2ce5d7d1a0bda7870fcbdbae5e5a70a3d90544")
 
+    def test_plus_edge_report_is_pinned(self, capsys, tmp_path):
+        # C12^2 plus a chord: 4-connected, not uniformly, with edges of both
+        # answers; the report is byte for byte the exhaustive sweep's
+        p = tmp_path / "c12sq_plus.g6"
+        p.write_text(format_graph6(add_edges(square_of_cycle(12), [(0, 6)])) + "\n")
+        code = main(["removable", str(p)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2da1960345807416a5ca7178110a00b70a0b1fae8069a0ebff24e58655456822")
+
 
 class TestReduce:
     def test_k6_minus_edge(self, capsys, files):
@@ -195,6 +206,25 @@ class TestDecomposeReplay:
         code, out = run(capsys, "replay", str(trace_file))
         assert code == 2 and out["error"] in ("CertMismatch", "StepInvalid")
 
+    def test_result_cert_is_the_checked_last_step_cert(self, capsys, monkeypatch, tmp_path):
+        from unicon4 import construct
+        g = construct.oracle_graphs(7)[0]
+        src = tmp_path / "g.g6"
+        src.write_text(format_graph6(g) + "\n")
+        trace_file = tmp_path / "trace.json"
+        main(["decompose", str(src), "-o", str(trace_file)])
+        capsys.readouterr()
+        certs = []
+        monkeypatch.setattr(cli, "canonical_cert", lambda h: certs.append(h) or canonical_cert(h))
+        code, doc = run(capsys, "replay", str(trace_file))
+        assert code == 0 and certs == []
+        assert doc["result_cert"] == canonical_cert(g).decode("ascii")
+        # a trace with no steps has no step certificate to reuse
+        trace_file.write_text(trace_to_json(construct.ConstructionTrace("C6SQ", ())))
+        code, doc = run(capsys, "replay", str(trace_file))
+        assert code == 0 and len(certs) == 1
+        assert doc["result_cert"] == canonical_cert(octahedron()).decode("ascii")
+
 
 class TestGenVerify:
     def test_gen_max_n_6(self, capsys):
@@ -283,3 +313,36 @@ class TestBudgetFlags:
             cli._build_parser().parse_args(ARGV[cmd] + [flag, "7"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _outcome(capsys, call):
+    """(exit code, stdout, stderr) of a call that may end in SystemExit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserBuild:
+    # main builds only the named command's sub-parser; it must parse and
+    # report exactly as the full parser does
+
+    @pytest.mark.parametrize("cmd", sorted(ARGV))
+    def test_one_sub_parser_gives_the_same_namespace(self, cmd):
+        assert cli._build_parser(cmd).parse_args(ARGV[cmd]) == cli._build_parser().parse_args(ARGV[cmd])
+
+    @pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"], ["apply"], ["nosuch"], [],
+                                      ["--version"], ["analyze", "g.g6", "extra"],
+                                      ["replay", "t.json", "--max-paths", "x"]],
+                             ids=str)
+    def test_main_reports_as_the_full_parser(self, argv, capsys):
+        got = _outcome(capsys, lambda: main(list(argv)))
+        want = _outcome(capsys, lambda: cli._build_parser().parse_args(list(argv)))
+        assert got == want
+        assert got[0] in (0, 2)
+
+    def test_argv_defaults_to_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["unicon4", "--version"])
+        assert _outcome(capsys, main) == (0, f"unicon4 {__version__}\n", "")

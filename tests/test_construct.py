@@ -359,6 +359,47 @@ class TestDecompose:
         with pytest.raises(chording.BudgetExceeded, match="examined 11 candidates"):
             decompose(K44)
 
+    def test_hosts_below_degree_4_skip_the_uniformity_check(self, monkeypatch):
+        # such a host cannot be uniformly 4-connected, and the check would
+        # build a cut witness that the search never reads
+        degrees = []
+        check = construct.is_uniformly_4_connected
+
+        def recorded(h):
+            degrees.append(h.min_degree())
+            return check(h)
+
+        monkeypatch.setattr(construct, "is_uniformly_4_connected", recorded)
+        with pytest.raises(construct.DecompositionError):
+            decompose(K44)
+        assert degrees and min(degrees) == 4
+
+    def test_screened_hosts_still_count_against_the_budget(self, monkeypatch):
+        monkeypatch.setattr(construct, "DECOMPOSE_CANDIDATES", 784)
+        with pytest.raises(construct.DecompositionError):
+            decompose(K44)
+        monkeypatch.setattr(construct, "DECOMPOSE_CANDIDATES", 783)
+        with pytest.raises(chording.BudgetExceeded, match="examined 784 candidates"):
+            decompose(K44)
+
+    # sha256 of trace_to_json(decompose(C_n^2)); screening hosts by degree
+    # must leave every trace as it is
+    SQUARE_TRACES = {
+        9: "f0fba287574dab043d22831f8c0c67d723288a68d34c68a176a232eabe6ef918",
+        10: "0b63a83fda92e4d4219828742b0d1a73076f8b3838bafd2b04f27cc561738858",
+        11: "04c416e6dfbc7f940a5b55abc08c0bbb967d9e82edc44d14e246977d266ec156",
+        12: "65d3bc9bb2a69135eb0b0333334c1c02edcc5a736399d892c43b2ec67729f3d4",
+        13: "544b7eb8542d897ae5c6756f5afff39732cfb39d3581ee934e745b90855bbd74",
+        14: "d2f492c23849eaa63231c90ce2650fd6564129ed81f92e45fd80794c9f5eee57",
+        15: "886476ad0f3ace1896771c300e00a5c9637622ffc0874b210d38e2f0bf8b827c",
+        16: "1e790fe8e1de07b3d75fb12e34cb22420ce294355be78f99863845b17ae118e7",
+    }
+
+    def test_square_traces_are_pinned(self):
+        got = {n: hashlib.sha256(trace_to_json(decompose(square_of_cycle(n))).encode("ascii"))
+               .hexdigest() for n in self.SQUARE_TRACES}
+        assert got == self.SQUARE_TRACES
+
 
 class TestTraces:
     def test_json_round_trip(self):

@@ -1,7 +1,9 @@
 import collections
 import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,9 @@ from unicon4 import (ConnectivityTooLow, Delta1Spec, Delta2Spec, EndCoverageViol
                      octahedron, octahedron_plus, reduce_edge, removable_edges, remove_edges,
                      square_of_cycle, validate_delta1, validate_delta2, vertex_connectivity,
                      verify_witness)
-from unicon4 import apply_delta, chording, format_graph6
+from unicon4 import apply_delta, chording, format_graph6, transform
 from unicon4.construct import _delta1_specs, _delta2_specs, generate_catalog
-from unicon4.transform import _clauses
+from unicon4.transform import _clauses, _separated
 
 import reference
 
@@ -140,6 +142,55 @@ class TestRemovability:
             g = random_4connected(rng, rng.choice([7, 8]))
             for e in g.edges():
                 assert is_removable(g, e) == is_removable_structural(g, e)
+
+
+# the benchmark's pool of uniformly 4-connected graphs, n = 9..16
+POOL = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json")
+                  .read_text(encoding="utf-8"))["pool"]
+
+
+def _separated_cases(name):
+    if name == "squares":
+        return [square_of_cycle(n) for n in range(7, 17)]
+    if name == "pool":
+        return [Graph(int(n), [tuple(e) for e in entry["edges"]])
+                for n, entries in sorted(POOL.items()) for entry in entries]
+    rng = random.Random(12)
+    return [random_4connected(rng, n) for n in range(7, 13) for _ in range(2)]
+
+
+class TestSeparated:
+    """_separated tries only the 3-sets with one vertex on each of three
+    disjoint x-y paths; the exhaustive sweep over all 3-sets checks it."""
+
+    @pytest.mark.parametrize("family", ["squares", "pool", "random"])
+    def test_matches_the_exhaustive_sweep(self, family, monkeypatch):
+        widths = collections.Counter()
+        flow = transform._flow_paths
+
+        def counted(*args):
+            paths = flow(*args)
+            widths[len(paths)] += 1
+            return paths
+
+        monkeypatch.setattr(transform, "_flow_paths", counted)
+        answers = collections.Counter()
+        for g in _separated_cases(family):
+            for x, y in g.edges():
+                got = _separated(g, x, y)
+                assert got == reference.separated_by_3set(g, x, y), (format_graph6(g), x, y)
+                answers[got] += 1
+        assert answers[True] and answers[False]
+        assert set(widths) <= {3, 4} and widths[3]
+        if family == "random":
+            assert widths[4]  # the early exit: no 3-set cuts 4 disjoint paths
+
+    def test_four_paths_skip_the_component_search(self, monkeypatch):
+        def components(adj, alive):
+            raise AssertionError("a 3-set was tried although 4 disjoint paths exist")
+
+        monkeypatch.setattr(transform, "_components", components)
+        assert not _separated(complete_graph(7), 0, 1)
 
 
 class TestDelta1:
