@@ -8,8 +8,17 @@ so exhaustive cut sweeps are deliberate, not an oversight.
 The flow kernel keeps its residual as per-vertex bitmasks and explores it
 breadth first in increasing vertex order, so the paths it returns, and the
 witnesses built from them, depend on the graph alone; a test pins them.
-Global connectivity probes only the pairs of `_probe_pairs`: a minimum
-cut either misses a vertex v of minimum degree and separates it from a
+
+Local connectivity counts before it flows.  kappa(u, v) is at most
+min(deg u, deg v): every u-v path but the edge uv leaves u through its own
+neighbour and enters v through its own.  By Menger's theorem some maximum
+family of internally disjoint u-v paths holds the edge uv, if there is one,
+and u-c-v for every common neighbour c.  These are counted, and a flow
+runs, in the graph without the common neighbours and with uv barred, only
+for the paths still missing below the cap, so most pairs are settled before
+any flow (chording's `_fan_levels` counts detours by the same argument).
+Global connectivity probes only the pairs of `_probe_pairs`: a minimum cut
+either misses a vertex v of minimum degree and separates it from a
 non-neighbour, or contains v and separates two neighbours of v.
 """
 
@@ -170,14 +179,16 @@ def _flow_paths(adj: Sequence[int], s: int, t: int, limit: int,
     return paths
 
 
-def _local_conn(adj: Sequence[int], n: int, u: int, v: int, cap: int,
-                alive: Optional[int] = None) -> int:
-    if alive is None:
-        alive = (1 << n) - 1
-    if adj[u] >> v & 1:
-        k = len(_flow_paths(adj, u, v, cap - 1 if cap <= n else n, alive, (u, v)))
-        return 1 + k
-    return len(_flow_paths(adj, u, v, cap if cap <= n else n, alive, None))
+def _local_conn(adj: Sequence[int], n: int, u: int, v: int, cap: int) -> int:
+    """min(cap, kappa(u, v)), counting the edge uv and the common neighbours
+    first and running a flow only for the paths they leave open."""
+    cap = min(cap, adj[u].bit_count(), adj[v].bit_count())
+    common = adj[u] & adj[v]
+    known = (adj[u] >> v & 1) + common.bit_count()
+    if known >= cap:
+        return cap
+    alive = ((1 << n) - 1) & ~common
+    return known + len(_flow_paths(adj, u, v, cap - known, alive, (u, v)))
 
 
 # -- public operations -------------------------------------------------------
@@ -186,14 +197,15 @@ def _local_conn(adj: Sequence[int], n: int, u: int, v: int, cap: int,
 def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> int:
     """Maximum number of internally-disjoint u-v paths (exact Menger value).
 
-    With `cap`, stops counting at cap (returns min(value, cap)).
+    With a positive `cap`, stops counting at cap (returns min(value, cap)).
     """
     if u == v:
         raise GraphError("local connectivity needs two distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError("vertex out of range")
-    limit = g.n if cap is None else cap
-    return _local_conn(g._adj, g.n, u, v, limit)
+    if cap is not None and cap < 1:
+        raise GraphError(f"cap must be positive, got {cap}")
+    return _local_conn(g._adj, g.n, u, v, g.n if cap is None else cap)
 
 
 def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -233,24 +245,30 @@ def _probe_pairs(g: Graph):
             yield a, b
 
 
+def _kappa(g: Graph, cap: int) -> int:
+    """min(cap, kappa(g)) from one pass over the probe pairs, each capped
+    at the least value seen so far."""
+    if g.is_complete():
+        return min(cap, g.n - 1)
+    best = cap
+    for u, v in _probe_pairs(g):
+        best = _local_conn(g._adj, g.n, u, v, best)
+        if best == 0:
+            break
+    return best
+
+
 def vertex_connectivity(g: Graph) -> int:
     """Global vertex connectivity; n-1 for complete graphs by convention."""
     if g.n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
-    if g.is_complete():
-        return g.n - 1
-    best = g.n
-    for u, v in _probe_pairs(g):
-        best = min(best, _local_conn(g._adj, g.n, u, v, best))
-        if best == 0:
-            return 0
-    return best
+    return _kappa(g, g.n)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     if g.n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
-    if g.n <= k:
+    if g.n <= k or g.min_degree() < k:
         return False
     if g.is_complete():
         return True
@@ -364,8 +382,13 @@ def ends(g: Graph) -> List[End]:
     """Inclusion-minimal fragment bodies over all minimum cuts."""
     if g.is_complete():
         raise GraphError("complete graphs have no vertex cut")
+    return _ends(g, vertex_connectivity(g))
+
+
+def _ends(g: Graph, kappa: int) -> List[End]:
+    """The ends of a non-complete g whose connectivity kappa is known."""
     frags = []
-    for cut, comps in _cuts_of_size(g, vertex_connectivity(g)):
+    for cut, comps in _cuts_of_size(g, kappa):
         frags.extend(_fragments(cut, comps))
     bodies = {f.body for f in frags}
     minimal = [b for b in bodies if not any(o < b for o in bodies)]

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
-from .connectivity import _components, _flow_paths, ends, is_k_connected, vertex_connectivity
+from .connectivity import _components, _ends, _flow_paths, _kappa, is_k_connected
 from .graph_core import Graph, GraphError, add_vertex_with_neighbors, remove_edges
 
 Pair = Tuple[int, int]
@@ -247,8 +247,9 @@ def _clauses(h: Graph, spec: CompatSet) -> Graph:
     4-connectivity holds; callers that know h is 4-connected skip that one."""
     reduced = _reduced(h, spec)
     # the reduced host equals the expansion minus its new vertices, so one
-    # connectivity computation covers both stated quantities
-    kappa = vertex_connectivity(reduced)
+    # connectivity computation covers both stated quantities; the clauses
+    # read kappa only up to 3
+    kappa = _kappa(reduced, 3)
     if isinstance(spec, Delta1Spec):
         if kappa < 3:
             raise ConnectivityTooLow("reduced-kappa-3", "host minus removed edges must stay 3-connected")
@@ -256,7 +257,7 @@ def _clauses(h: Graph, spec: CompatSet) -> Graph:
         raise ConnectivityTooLow("reduced-kappa-2", "host minus removed edges must stay 2-connected")
     elif kappa == 2:
         xs, ys = set(spec.x_set), set(spec.y_set)
-        for end in ends(reduced):
+        for end in _ends(reduced, kappa):
             body = end.fragment.body
             if not (body & xs) or not (body & ys):
                 raise EndCoverageViolated(

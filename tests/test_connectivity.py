@@ -10,7 +10,7 @@ from unicon4 import (CutWitness, FanWitness, Graph, GraphError, add_edges, compl
                      is_k_connected, is_uniformly_4_connected, k6_minus_edge,
                      local_connectivity, minimum_cuts, octahedron, octahedron_plus,
                      square_of_cycle, vertex_connectivity)
-from unicon4.connectivity import _flow_paths
+from unicon4.connectivity import _flow_paths, _kappa
 
 import reference
 
@@ -36,6 +36,15 @@ class TestLocalConnectivity:
     def test_same_vertex_rejected(self):
         with pytest.raises(GraphError):
             local_connectivity(octahedron(), 2, 2)
+
+    def test_cap_below_one_rejected(self):
+        # min(value, cap) is below 1 there, yet the direct edge alone is one path
+        g = square_of_cycle(8)
+        for cap in (0, -2):
+            with pytest.raises(GraphError):
+                local_connectivity(g, 0, 1, cap)
+            with pytest.raises(GraphError):
+                local_connectivity(g, 0, 4, cap)
 
     def test_adjacent_pair_identity(self):
         rng = random.Random(21)
@@ -167,6 +176,8 @@ class TestAgainstNetworkx:
             assert vertex_connectivity(g) == kappa, g
             for k in range(1, 6):
                 assert is_k_connected(g, k) == (kappa >= k), (g, k)
+                if not g.is_complete():
+                    assert _kappa(g, k) == min(k, kappa), (g, k)
 
     def test_local_connectivity(self):
         nx = pytest.importorskip("networkx")
@@ -181,6 +192,8 @@ class TestAgainstNetworkx:
                 else:
                     want = local_node_connectivity(h, u, v)
                 assert local_connectivity(g, u, v) == want, (g, u, v)
+                for cap in range(1, 6):
+                    assert local_connectivity(g, u, v, cap) == min(cap, want), (g, u, v, cap)
 
 
 class TestUniform4:

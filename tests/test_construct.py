@@ -9,7 +9,7 @@ from unicon4 import (CertMismatch, Graph, GraphError, NotUniform, SearchBudget, 
                      complete_graph, decompose, generate_all, generate_catalog,
                      is_uniformly_4_connected, octahedron, oracle_graphs, replay,
                      square_of_cycle, trace_from_json, trace_to_json, verify_theorem)
-from unicon4 import chording, construct, graph_core, transform
+from unicon4 import chording, connectivity, construct, graph_core, transform
 from unicon4.graph_core import are_isomorphic, format_graph6, relabel
 
 import reference
@@ -203,6 +203,28 @@ class TestGenerate:
         assert canonical_cert(replay(decompose(g))) == canonical_cert(g)
         assert calls == []
 
+
+    def test_local_connectivity_counts_before_it_flows(self, monkeypatch):
+        # the edge, the common neighbours and the degree cap settle most
+        # pairs of a cold n = 8 closure: 665 flows, against 1,799 when every
+        # path was a flow; the certificates are those of the full flows
+        calls = []
+        original = connectivity._flow_paths
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(connectivity, "_flow_paths", counting)
+        chording.clear_caches()
+        try:
+            cat = generate_catalog(8)
+        finally:
+            chording.clear_caches()
+        text = "\n".join(sorted(c.decode("ascii") for c in cat.certs_by_n[8]))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "e90b9a2a5be36e11a71871e1722b0ef1320d26def0dbbdfbfc36504c9848ffed")
+        assert len(calls) <= 800
 
     def test_results_pinned_across_budgets(self, monkeypatch):
         # sha256 over the per-order certificates with their representatives'
