@@ -15,6 +15,13 @@ without a flow: every detour but a direct edge leaves each end through its
 own off-path neighbour, so the off-path degrees of a subpath's ends (plus
 the direct edge) cap its detours, and a path on which no cap reaches the
 level a predicate reads is skipped.
+
+A whole sweep is settled first from degrees: off-path degree is at most
+degree minus path neighbours, of which an end has one or more, an interior
+vertex two or more, and each end of a chord p[i]p[j] one more.  So a cap of
+3 (off-path degree 3 at two vertices, or 2 at both ends of a chord) needs
+two vertices of degree >= 4 among u, v or >= 5 elsewhere, in g, or in g + e
+for e-plus; a quasi chord needs degree >= 3 at u and v.
 """
 
 from __future__ import annotations
@@ -191,6 +198,12 @@ def _may_reach(adj: Sequence[int], p: PathVerts, k: int) -> bool:
                               for i, j in itertools.combinations(near, 2))
 
 
+def _any_may_reach_3(adj: Sequence[int], u: int, v: int) -> bool:
+    """Whether _may_reach(adj, p, 3) may hold for some u-v path p."""
+    ends = 1 << u | 1 << v
+    return sum(m.bit_count() >= (4 if ends >> x & 1 else 5) for x, m in enumerate(adj)) >= 2
+
+
 def _witness(g: Graph, p: PathVerts, i: int, j: int) -> ChordingWitness:
     """The three detours of subpath (i,j) of p in g, re-validated."""
     a, b = p[i], p[j]
@@ -267,18 +280,23 @@ def is_e_plus_quasi_3cc(g: Graph, path: Sequence[int], e: Pair) -> bool:
     for x, y in zip(p, p[1:]):
         if {x, y} == set(e):
             raise GraphError("the added edge may not be an edge of the path")
-    return _eplus_hits(g, p, e) is not None
+    return _eplus_hits(g, p, e, _plus_edge(g, e)) is not None
 
 
-def _eplus_hits(g: Graph, p: PathVerts, e: Pair) -> Optional[ChordingWitness]:
+def _plus_edge(g: Graph, e: Pair) -> List[int]:
+    """The adjacency masks of g + e."""
+    adj2 = list(g._adj)
+    adj2[e[0]] |= 1 << e[1]
+    adj2[e[1]] |= 1 << e[0]
+    return adj2
+
+
+def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> Optional[ChordingWitness]:
     """The verified witness in g+e for a path of g that is not quasi
-    3-circuit chording in g but is in g+e, or None."""
+    3-circuit chording in g but is in g+e, or None; adj2 is g + e."""
     # a hit is a level 3 in g+e; levels only grow when e is added, so without
     # a cap of 3 in g+e there is no level 3 in g or in g+e, and no hit
     a, b = e
-    adj2 = list(g._adj)
-    adj2[a] |= 1 << b
-    adj2[b] |= 1 << a
     if not _may_reach(adj2, p, 3):
         return None
     levels = _fan_levels(g, p)
@@ -314,16 +332,17 @@ def clear_caches() -> None:
 
 
 def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
-           hit: Callable[[PathVerts], object], what: str) -> Optional[tuple]:
+           hit: Callable[[PathVerts], object], what: str, possible: bool) -> Optional[tuple]:
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
     in enumeration order, or None when there is none; cached under key and
-    budget.  A truncated sweep that found nothing raises BudgetExceeded."""
+    budget.  A truncated sweep that found nothing raises BudgetExceeded, even
+    when possible is False: the degrees rule out every path, none is screened."""
     key += (budget,)
     if key in _verdicts:
         return _verdicts[key]
     paths, complete = _paths_for(g, u, v, budget)
     found = None
-    for p in paths:
+    for p in paths if possible else ():
         detail = hit(p)
         if detail is not None:
             found = p, detail
@@ -339,7 +358,8 @@ def find_quasi_3cc_path(g: Graph, u: int, v: int,
                         budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness) pair in enumeration order, or None."""
     return _sweep(("q3cc", g, u, v), g, u, v, budget,
-                  functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}")
+                  functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}",
+                  _any_may_reach_3(g._adj, u, v))
 
 
 def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
@@ -347,8 +367,10 @@ def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
     """First (path, witness-in-g+e) pair in enumeration order, or None."""
     _check_missing_edge(g, e)
     a, b = e
+    adj2 = _plus_edge(g, e)
     return _sweep(("eplus", g, u, v, (min(a, b), max(a, b))), g, u, v, budget,
-                  lambda p: _eplus_hits(g, p, e), f"e-plus quasi-3cc {u}-{v}")
+                  lambda p: _eplus_hits(g, p, e, adj2), f"e-plus quasi-3cc {u}-{v}",
+                  _any_may_reach_3(adj2, u, v))
 
 
 def find_quasi_chord(g: Graph, u: int, v: int,
@@ -366,7 +388,8 @@ def find_quasi_chord(g: Graph, u: int, v: int,
             return None
         found = _flow_paths(g._adj, u, v, 2, rest | (1 << u) | (1 << v), (u, v))
         return (tuple(found[0]), tuple(found[1])) if len(found) >= 2 else None
-    return _sweep(("qchord", g, u, v), g, u, v, budget, arcs, f"quasi chord {u}-{v}")
+    return _sweep(("qchord", g, u, v), g, u, v, budget, arcs, f"quasi chord {u}-{v}",
+                  g.degree(u) >= 3 and g.degree(v) >= 3)
 
 
 def exists_quasi_3cc_path(g: Graph, u: int, v: int,

@@ -199,13 +199,15 @@ def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> i
 
     With a positive `cap`, stops counting at cap (returns min(value, cap)).
     """
-    if u == v:
-        raise GraphError("local connectivity needs two distinct vertices")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError("vertex out of range")
-    if cap is not None and cap < 1:
-        raise GraphError(f"cap must be positive, got {cap}")
+    _check_pair(g, u, v, "cap", cap)
     return _local_conn(g._adj, g.n, u, v, g.n if cap is None else cap)
+
+
+def _check_pair(g: Graph, u: int, v: int, name: str, count: Optional[int]) -> None:
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphError(f"expected two distinct vertices in range, got {u} and {v}")
+    if count is not None and count < 1:
+        raise GraphError(f"{name} must be positive, got {count}")
 
 
 def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -213,6 +215,7 @@ def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> Optional[Tuple[Tuple[
 
     For adjacent pairs the edge itself is one of the paths.
     """
+    _check_pair(g, u, v, "k", k)
     alive = (1 << g.n) - 1
     if g.has_edge(u, v):
         paths = _flow_paths(g._adj, u, v, k - 1, alive, (u, v))

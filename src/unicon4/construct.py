@@ -18,8 +18,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .connectivity import is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors,
-                         automorphism_group, canonical_cert, canonical_form, delete_vertex,
-                         find_isomorphism, format_graph6, square_of_cycle, _mask_bits)
+                         automorphism_group, canonical_cert, canonical_form, canonical_labeling,
+                         delete_vertex, format_graph6, square_of_cycle, _cert_from, _iso_from,
+                         _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, _attach, _clauses,
                         is_quasi_4_compatible)
 
@@ -227,10 +228,12 @@ def decompose(g: Graph) -> ConstructionTrace:
     base_of = {canonical_cert(base_graph(tag)): tag for tag in BASE_TAGS}
     nodes = [0]
 
-    def search(cur: Graph) -> Tuple[str, List[TraceStep], Graph]:
-        cert = canonical_cert(cur)
+    def search(cur: Graph, order: Tuple[int, ...]) -> Tuple[str, List[TraceStep], Graph, tuple]:
+        # order labels cur; the graph rebuilt comes back with its labeling
+        cert = _cert_from(cur, order)
         if cert in base_of:
-            return base_of[cert], [], base_graph(base_of[cert])
+            base = base_graph(base_of[cert])
+            return base_of[cert], [], base, canonical_labeling(base)
         for op, host, spec in _parent_candidates(cur):
             nodes[0] += 1
             if nodes[0] > DECOMPOSE_CANDIDATES:
@@ -243,23 +246,25 @@ def decompose(g: Graph) -> ConstructionTrace:
                 _clauses(host, spec)  # host was just checked uniformly 4-connected
             except SpecInvalid:
                 continue
+            host_order = canonical_labeling(host)
             try:
-                tag, steps, rebuilt = search(host)
+                tag, steps, rebuilt, rebuilt_order = search(host, host_order)
             except DecompositionError:
                 continue
-            iso = find_isomorphism(host, rebuilt)
+            iso = _iso_from(host, rebuilt, host_order, rebuilt_order)
             if iso is None:
                 raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
             # rebuilt is isomorphic to the uniformly 4-connected host
             out = _attach(_clauses(rebuilt, moved), moved)
-            if canonical_cert(out) != cert:
+            out_order = canonical_labeling(out)
+            if _cert_from(out, out_order) != cert:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
-            return tag, steps, out
+            return tag, steps, out, out_order
         raise DecompositionError(f"no uniformly 4-connected parent found for {cur!r}")
 
-    tag, steps, _ = search(g)
+    tag, steps, _, _ = search(g, canonical_labeling(g))
     return ConstructionTrace(tag, tuple(steps))
 
 

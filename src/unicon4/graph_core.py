@@ -414,15 +414,23 @@ def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-def canonical_form(g: Graph) -> Graph:
-    order = canonical_labeling(g)
+def _form_from(g: Graph, order: Sequence[int]) -> Graph:
     pos = {old: i for i, old in enumerate(order)}
     return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
 
 
+def _cert_from(g: Graph, order: Sequence[int]) -> bytes:
+    """The certificate of g, given order = canonical_labeling(g)."""
+    return format_graph6(_form_from(g, order)).encode("ascii")
+
+
+def canonical_form(g: Graph) -> Graph:
+    return _form_from(g, canonical_labeling(g))
+
+
 def canonical_cert(g: Graph) -> bytes:
     """Isomorphism-class certificate: graph6 of the canonical form."""
-    return format_graph6(canonical_form(g)).encode("ascii")
+    return _cert_from(g, canonical_labeling(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -435,9 +443,15 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Dict[int, int]]:
     """An explicit vertex bijection g -> h, or None."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
+    return _iso_from(g, h, canonical_labeling(g), canonical_labeling(h))
+
+
+def _iso_from(g: Graph, h: Graph, g_order: Sequence[int],
+              h_order: Sequence[int]) -> Optional[Dict[int, int]]:
+    """find_isomorphism(g, h) for g, h of equal order and size, from their labelings."""
     # the canonical forms agree iff the map between equal canonical
     # positions is an isomorphism, so test the map instead of building them
-    mapping = dict(sorted(zip(canonical_labeling(g), canonical_labeling(h))))
+    mapping = dict(sorted(zip(g_order, h_order)))
     if not all(h.has_edge(mapping[u], mapping[v]) for u, v in g.edges()):
         return None
     return mapping

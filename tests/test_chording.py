@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -213,6 +214,89 @@ def _nx_levels(nx, g, p):
     return levels
 
 
+def _nx_has_arcs(nx, g, u, v, p):
+    """Whether u and v keep two internally disjoint arcs of length >= 2 once
+    the interior of p is deleted, from networkx's local connectivity."""
+    h = nx.Graph()
+    h.add_nodes_from(set(range(g.n)) - set(p[1:-1]))
+    h.add_edges_from((x, y) for x, y in g.edges()
+                     if h.has_node(x) and h.has_node(y) and {x, y} != {u, v})
+    return nx.algorithms.connectivity.local_node_connectivity(h, u, v) >= 2
+
+
+def _recorded_screens(monkeypatch):
+    """Wrap _sweep so that each sweep's degree screen is recorded as
+    (predicate, possible)."""
+    screens = []
+    sweep = chording._sweep
+
+    def recording(key, g, u, v, budget, hit, what, possible):
+        screens.append((key[0], possible))
+        return sweep(key, g, u, v, budget, hit, what, possible)
+
+    monkeypatch.setattr(chording, "_sweep", recording)
+    return screens
+
+
+class TestSweepScreens:
+    def test_settled_sweeps_against_networkx(self, monkeypatch):
+        # a sweep settled from degrees must have no path that reaches fan
+        # level 3 in g (q3cc) or in g + e (e-plus), and no path that leaves
+        # u and v two disjoint arcs (quasi chord); the paths come from the
+        # reference enumeration and the levels from networkx
+        nx = pytest.importorskip("networkx")
+        screens = _recorded_screens(monkeypatch)
+        rng = random.Random(79)
+        for _ in range(150):
+            n = rng.randint(5, 9)
+            g = reference.random_graph(rng, n, rng.choice([0.3, 0.45, 0.6]))
+            u, v = rng.sample(range(n), 2)
+            missing = [e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)]
+            if not missing:
+                continue
+            e = rng.choice(missing)
+            plus = Graph(n, g.edges() + [e])
+            paths = reference.all_simple_paths(g, u, v)
+            chording.find_quasi_3cc_path(g, u, v)
+            chording.find_e_plus_quasi_3cc_path(g, u, v, e)
+            chording.find_quasi_chord(g, u, v)
+            for (what, possible), h in zip(screens[-3:], (g, plus, None)):
+                if possible:
+                    continue
+                for p in paths:
+                    if h is None:
+                        assert not _nx_has_arcs(nx, g, u, v, p), (g, u, v, p)
+                    else:
+                        assert max(_nx_levels(nx, h, p)) < 3, (what, g, u, v, e, p)
+        for what in ("q3cc", "eplus", "qchord"):
+            outcomes = [possible for name, possible in screens if name == what]
+            assert outcomes.count(False) >= 80 and outcomes.count(True) >= 40, what
+
+    def test_c16_square_replay_screens_no_path(self, monkeypatch):
+        # every sweep of the replay is settled from degrees; screening each
+        # path took 1,971 degree-cap checks
+        trace = construct.decompose(square_of_cycle(16))
+        calls = []
+        may_reach = chording._may_reach
+        monkeypatch.setattr(chording, "_may_reach",
+                            lambda *args: calls.append(args) or may_reach(*args))
+        construct.replay(trace)
+        assert calls == []
+
+    def test_cold_n8_closure_screens_few_paths(self, monkeypatch):
+        # 7,106 degree-cap checks when every path of every sweep was
+        # screened; the certificates are unchanged
+        calls = []
+        may_reach = chording._may_reach
+        monkeypatch.setattr(chording, "_may_reach",
+                            lambda *args: calls.append(args) or may_reach(*args))
+        cat = construct.generate_catalog(8)
+        text = "\n".join(sorted(c.decode("ascii") for c in cat.certs_by_n[8]))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "e90b9a2a5be36e11a71871e1722b0ef1320d26def0dbbdfbfc36504c9848ffed")
+        assert len(calls) <= 1300
+
+
 class TestExistsQ3cc:
     def test_k5(self):
         assert exists_quasi_3cc_path(complete_graph(5), 0, 1)
@@ -371,6 +455,19 @@ class TestBudget:
             _, complete = chording._simple_paths(complete_graph(n), 0, 1, bound - 1, n)
             assert not complete
         assert [construct._kn_path_count(n) for n in (8, 9)] == [1957, 13700]
+
+    def test_settled_sweep_still_raises_on_truncation(self):
+        # no vertex of the 7-cycle has degree 4, so every sweep is settled
+        # from degrees, yet its enumeration is still what decides between
+        # "no path" and "unresolved"; the refusal must not be cached as False
+        g = cycle_graph(7)
+        queries = (lambda b: exists_quasi_3cc_path(g, 0, 3, b),
+                   lambda b: exists_e_plus_quasi_3cc_path(g, 0, 3, (1, 5), b),
+                   lambda b: exists_quasi_chord(g, 0, 3, b))
+        for query in queries:
+            with pytest.raises(BudgetExceeded):
+                query(SearchBudget(max_paths=1))
+            assert query(SearchBudget()) is False
 
     def test_budget_fields_positive(self):
         with pytest.raises(GraphError):

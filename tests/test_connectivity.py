@@ -254,6 +254,13 @@ class TestUniform4:
         assert fan is not None and len(fan) == 5
         assert disjoint_path_fan(octahedron(), 0, 1, 5) is None
 
+    @pytest.mark.parametrize("u, v, k", [(0, 1, 0), (0, 1, -1), (0, 0, 3), (0, 9, 3), (-1, 2, 3)])
+    def test_disjoint_path_fan_rejects_invalid_input(self, u, v, k):
+        # k < 1 once returned one path, more than asked; u == v and a vertex
+        # out of range once returned None, a silent "no"
+        with pytest.raises(GraphError):
+            disjoint_path_fan(square_of_cycle(8), u, v, k)
+
 
 class TestCutsFragmentsEnds:
     def test_octahedron_minimum_cuts_are_neighborhoods(self):

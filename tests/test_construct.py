@@ -302,7 +302,7 @@ class TestDecompose:
     def test_failed_rebuild_raises(self, monkeypatch):
         # an explicit RuntimeError, not a DecompositionError that the
         # candidate search would swallow, and not an assert lost under -O
-        monkeypatch.setattr(construct, "find_isomorphism", lambda g, h: None)
+        monkeypatch.setattr(construct, "_iso_from", lambda g, h, g_order, h_order: None)
         with pytest.raises(RuntimeError):
             decompose(square_of_cycle(7))
 
