@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .connectivity import _components, _flow_paths
+from .connectivity import _flow_paths, _local_conn
 from .graph_core import Graph, GraphError, _mask_bits
 
 PathVerts = Tuple[int, ...]
@@ -114,13 +115,22 @@ def _simple_paths(g: Graph, u: int, v: int, max_paths: int,
     return tuple(paths), complete
 
 
-def _paths_for(g: Graph, u: int, v: int, budget: SearchBudget) -> Tuple[Tuple[PathVerts, ...], bool]:
+def _kn_path_count(n: int) -> int:
+    """The number of simple u-v paths in K_n, the most that any graph on
+    n vertices has between two of its vertices."""
+    return sum(math.factorial(n - 2) // math.factorial(k) for k in range(n - 1))
+
+
+def _can_truncate(budget: SearchBudget, n: int) -> bool:
+    """Whether the budget can cut short some path sweep on n vertices."""
+    return (budget.max_len is not None and budget.max_len < n) or budget.max_paths < _kn_path_count(n)
+
+
+def _check_ends(g: Graph, u: int, v: int) -> None:
     if u == v:
         raise GraphError("path endpoints must differ")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError("vertex out of range")
-    max_len = budget.max_len if budget.max_len is not None else g.n
-    return _simple_paths(g, u, v, budget.max_paths, min(max_len, g.n))
 
 
 # -- the 3-fan test per subpath ----------------------------------------------
@@ -148,33 +158,10 @@ def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
 
     "Detour" excludes the subpath itself: its interior is deleted with the
     rest of p, and for single-edge subpaths the edge itself is barred.
-
-    Counting settles most levels.  By Menger's theorem some maximum detour
-    family holds the edge ab, when it is a detour, and every a-c-b through
-    an off-path common neighbour c; deleting them lowers the connectivity by
-    their count.  A flow runs, in the graph without them, only when that
-    count falls short of the degree cap, unless one detour is missing and
-    there is no such c: it exists iff a component off p meets N(a) and N(b).
     """
-    adj = g._adj
     rest = _off_path(g.n, p)
-    deg = [(adj[x] & rest).bit_count() for x in p]
-    comps = _components(adj, rest)
-    out = []
-    for i, j in _subpaths(p):
-        a, b = p[i], p[j]
-        direct = 1 if j > i + 1 and adj[a] >> b & 1 else 0
-        cap = min(deg[i] + direct, deg[j] + direct, 3)
-        common = adj[a] & adj[b] & rest
-        known = direct + common.bit_count()
-        if known >= cap:
-            out.append(cap)
-        elif cap - known == 1 and not common:
-            out.append(known + any(c & adj[a] and c & adj[b] for c in comps))
-        else:
-            alive = (rest & ~common) | (1 << a) | (1 << b)
-            out.append(known + len(_flow_paths(adj, a, b, cap - known, alive, (a, b))))
-    return tuple(out)
+    return tuple(_local_conn(g._adj, p[i], p[j], 3, rest | 1 << p[i] | 1 << p[j], j > i + 1)
+                 for i, j in _subpaths(p))
 
 
 def _may_reach(adj: Sequence[int], p: PathVerts, k: int) -> bool:
@@ -313,16 +300,17 @@ def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> Optiona
         alive = rest | (1 << x) | (1 << y)
         if not (alive >> a & 1) or not (alive >> b & 1):
             continue
-        banned = (x, y) if j == i + 1 else None
-        if len(_flow_paths(adj2, x, y, 3, alive, banned)) >= 3:
+        if _local_conn(adj2, x, y, 3, alive, j > i + 1) >= 3:
             return _witness(Graph(g.n, list(g.edges()) + [e]), p, i, j)
     return None
 
 
 # -- queries over all u-v paths -----------------------------------------------
 
-# (query key, budget) -> the first (path, witness or arcs) in order, or None
+# (query key, budget) -> the first (path, witness or arcs) in order, or None;
+# past _VERDICTS_MAX entries the oldest is dropped
 _verdicts: Dict[tuple, Optional[tuple]] = {}
+_VERDICTS_MAX = 100_000
 
 
 def clear_caches() -> None:
@@ -336,20 +324,24 @@ def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
     in enumeration order, or None when there is none; cached under key and
     budget.  A truncated sweep that found nothing raises BudgetExceeded, even
-    when possible is False: the degrees rule out every path, none is screened."""
+    when possible is False: the degrees rule out every path, none is
+    screened, and the paths are enumerated only if the budget can truncate."""
     key += (budget,)
     if key in _verdicts:
         return _verdicts[key]
-    paths, complete = _paths_for(g, u, v, budget)
     found = None
-    for p in paths if possible else ():
-        detail = hit(p)
-        if detail is not None:
-            found = p, detail
-            break
-    else:
-        if not complete:
-            raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
+    if possible or _can_truncate(budget, g.n):
+        paths, complete = _simple_paths(g, u, v, budget.max_paths, min(budget.max_len or g.n, g.n))
+        for p in paths if possible else ():
+            detail = hit(p)
+            if detail is not None:
+                found = p, detail
+                break
+        else:
+            if not complete:
+                raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
+    if len(_verdicts) >= _VERDICTS_MAX:
+        del _verdicts[next(iter(_verdicts))]
     _verdicts[key] = found
     return found
 
@@ -357,6 +349,7 @@ def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
 def find_quasi_3cc_path(g: Graph, u: int, v: int,
                         budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness) pair in enumeration order, or None."""
+    _check_ends(g, u, v)
     return _sweep(("q3cc", g, u, v), g, u, v, budget,
                   functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}",
                   _any_may_reach_3(g._adj, u, v))
@@ -365,6 +358,7 @@ def find_quasi_3cc_path(g: Graph, u: int, v: int,
 def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
                                budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness-in-g+e) pair in enumeration order, or None."""
+    _check_ends(g, u, v)
     _check_missing_edge(g, e)
     a, b = e
     adj2 = _plus_edge(g, e)
@@ -380,6 +374,8 @@ def find_quasi_chord(g: Graph, u: int, v: int,
     The cycle passes through u and v non-consecutively; u and v may be
     adjacent in g.
     """
+    _check_ends(g, u, v)
+
     def arcs(p):
         # a suitable cycle = two internally-disjoint u-v paths of length >= 2;
         # each leaves u and enters v through its own off-path neighbour

@@ -9,14 +9,15 @@ The flow kernel keeps its residual as per-vertex bitmasks and explores it
 breadth first in increasing vertex order, so the paths it returns, and the
 witnesses built from them, depend on the graph alone; a test pins them.
 
-Local connectivity counts before it flows.  kappa(u, v) is at most
-min(deg u, deg v): every u-v path but the edge uv leaves u through its own
-neighbour and enters v through its own.  By Menger's theorem some maximum
-family of internally disjoint u-v paths holds the edge uv, if there is one,
-and u-c-v for every common neighbour c.  These are counted, and a flow
-runs, in the graph without the common neighbours and with uv barred, only
-for the paths still missing below the cap, so most pairs are settled before
-any flow (chording's `_fan_levels` counts detours by the same argument).
+Local connectivity counts before it flows, in the one kernel `_local_conn`
+that every count of internally disjoint paths goes through, chording's
+detours included.  It counts u-v paths inside a vertex mask, the edge uv
+only when asked to.  Every other path leaves u and enters v through its
+own neighbour in the mask, which caps the count; by Menger's theorem some
+maximum family holds the edge and u-c-v for every common neighbour c, so
+these are counted first.  With one path missing, it exists iff some
+component of the mask without u, v and the common neighbours meets both
+neighbourhoods; only with more missing does a flow run there, uv barred.
 Global connectivity probes only the pairs of `_probe_pairs`: a minimum cut
 either misses a vertex v of minimum degree and separates it from a
 non-neighbour, or contains v and separates two neighbours of v.
@@ -179,15 +180,21 @@ def _flow_paths(adj: Sequence[int], s: int, t: int, limit: int,
     return paths
 
 
-def _local_conn(adj: Sequence[int], n: int, u: int, v: int, cap: int) -> int:
-    """min(cap, kappa(u, v)), counting the edge uv and the common neighbours
-    first and running a flow only for the paths they leave open."""
-    cap = min(cap, adj[u].bit_count(), adj[v].bit_count())
-    common = adj[u] & adj[v]
-    known = (adj[u] >> v & 1) + common.bit_count()
+def _local_conn(adj: Sequence[int], u: int, v: int, cap: int, alive: int, direct: bool) -> int:
+    """min(cap, the number of internally disjoint u-v paths inside alive),
+    the edge uv counted only when direct; alive must include u and v."""
+    hood_u = adj[u] & alive & ~(1 << v)
+    hood_v = adj[v] & alive & ~(1 << u)
+    edge = 1 if direct and adj[u] >> v & 1 else 0
+    cap = min(cap, hood_u.bit_count() + edge, hood_v.bit_count() + edge)
+    common = hood_u & hood_v
+    known = edge + common.bit_count()
     if known >= cap:
         return cap
-    alive = ((1 << n) - 1) & ~common
+    alive &= ~common
+    if cap - known == 1:
+        inner = alive & ~(1 << u) & ~(1 << v)
+        return known + any(c & hood_u and c & hood_v for c in _components(adj, inner))
     return known + len(_flow_paths(adj, u, v, cap - known, alive, (u, v)))
 
 
@@ -200,7 +207,7 @@ def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> i
     With a positive `cap`, stops counting at cap (returns min(value, cap)).
     """
     _check_pair(g, u, v, "cap", cap)
-    return _local_conn(g._adj, g.n, u, v, g.n if cap is None else cap)
+    return _local_conn(g._adj, u, v, g.n if cap is None else cap, (1 << g.n) - 1, True)
 
 
 def _check_pair(g: Graph, u: int, v: int, name: str, count: Optional[int]) -> None:
@@ -253,9 +260,9 @@ def _kappa(g: Graph, cap: int) -> int:
     at the least value seen so far."""
     if g.is_complete():
         return min(cap, g.n - 1)
-    best = cap
+    best, full = cap, (1 << g.n) - 1
     for u, v in _probe_pairs(g):
-        best = _local_conn(g._adj, g.n, u, v, best)
+        best = _local_conn(g._adj, u, v, best, full, True)
         if best == 0:
             break
     return best
@@ -275,7 +282,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if g.is_complete():
         return True
-    return all(_local_conn(g._adj, g.n, u, v, k) >= k for u, v in _probe_pairs(g))
+    full = (1 << g.n) - 1
+    return all(_local_conn(g._adj, u, v, k, full, True) >= k for u, v in _probe_pairs(g))
 
 
 def _components(adj: Sequence[int], alive: int) -> List[int]:
@@ -309,13 +317,14 @@ def is_uniformly_4_connected(g: Graph) -> Tuple[bool, Optional[Witness]]:
         cut = _some_small_cut(g, 4)
         return False, CutWitness(frozenset(cut))
     # every pair now has local connectivity >= 4; look for a pair above 4
+    full = (1 << g.n) - 1
     for u in range(g.n):
         if g.degree(u) < 5:
             continue
         for v in range(u + 1, g.n):
             if g.degree(v) < 5:
                 continue
-            if _local_conn(g._adj, g.n, u, v, 5) >= 5:
+            if _local_conn(g._adj, u, v, 5, full, True) >= 5:
                 return False, _fan_witness(g, u, v)
     return True, None
 
@@ -407,9 +416,10 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
     if g.n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
     local = [[0] * g.n for _ in range(g.n)]
+    full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            k = _local_conn(g._adj, g.n, u, v, g.n)
+            k = _local_conn(g._adj, u, v, g.n, full, True)
             local[u][v] = local[v][u] = k
     # kappa is the least local connectivity over non-adjacent pairs
     kappa = min((local[u][v] for u in range(g.n) for v in range(u + 1, g.n)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
-from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
+from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors,
                          automorphism_group, canonical_cert, canonical_form, canonical_labeling,
@@ -393,12 +392,6 @@ def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
                     yield Delta2Spec(xs, ys, exs, eys)
 
 
-def _kn_path_count(n: int) -> int:
-    """The number of simple u-v paths in K_n, the most that any graph on
-    n vertices has between two of its vertices."""
-    return sum(math.factorial(n - 2) // math.factorial(k) for k in range(n - 1))
-
-
 def _image(spec: CompatSet, perm: Tuple[int, ...]) -> CompatSet:
     """The spec moved by a host automorphism, in the form the enumeration
     yields: a delta-2 image whose x_set sorts after its y_set swaps sides."""
@@ -452,11 +445,9 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
         return cert, uniform
 
     for n in range(5, n_max + 1):
-        untruncated = ((budget.max_len is None or budget.max_len >= n)
-                       and budget.max_paths >= _kn_path_count(n))
         for cert in sorted(by_n[n]):
             host = by_n[n][cert]
-            autos = automorphism_group(host) if untruncated else ()
+            autos = () if _can_truncate(budget, n) else automorphism_group(host)
             known: Dict[CompatSet, Optional[Tuple[bytes, bool]]] = {}
             specs = itertools.chain(_delta1_specs(host) if n + 1 <= n_max else (),
                                     _delta2_specs(host) if n + 2 <= n_max else ())

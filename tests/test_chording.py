@@ -9,7 +9,7 @@ from unicon4 import (BudgetExceeded, Graph, GraphError, SearchBudget, classify_q
                      exists_quasi_3cc_path, exists_quasi_chord, is_e_plus_quasi_3cc,
                      octahedron, remove_edges, square_of_cycle, validate_path,
                      verify_witness)
-from unicon4 import chording, construct
+from unicon4 import chording, connectivity, construct
 
 import reference
 
@@ -40,6 +40,15 @@ class TestPathValidation:
     def test_non_edge(self):
         with pytest.raises(GraphError):
             validate_path(octahedron(), [0, 3])
+
+    @pytest.mark.parametrize("u, v", [(0, 8), (0, -1), (3, 3)])
+    def test_sweeps_reject_bad_ends(self, u, v):
+        # the ends are checked before the degree screens read them
+        g = square_of_cycle(8)
+        for query in (exists_quasi_3cc_path, exists_quasi_chord,
+                      lambda g, u, v: exists_e_plus_quasi_3cc_path(g, u, v, (0, 4))):
+            with pytest.raises(GraphError):
+                query(g, u, v)
 
 
 class TestClassify:
@@ -155,8 +164,8 @@ class TestFanLevels:
         # a flow for every level took 736 and 3,238 calls over the 70 and
         # 210 simple 0-1 paths of C8^2 and C10^2
         calls = []
-        flow_paths = chording._flow_paths
-        monkeypatch.setattr(chording, "_flow_paths",
+        flow_paths = connectivity._flow_paths
+        monkeypatch.setattr(connectivity, "_flow_paths",
                             lambda *args: calls.append(args) or flow_paths(*args))
         chording._fan_levels.cache_clear()
         g = square_of_cycle(n)
@@ -192,9 +201,10 @@ class TestFanLevels:
         # building the fan levels of every path took 5,517 flows
         trace = construct.decompose(square_of_cycle(16))
         calls = []
-        flow_paths = chording._flow_paths
-        monkeypatch.setattr(chording, "_flow_paths",
-                            lambda *args: calls.append(args) or flow_paths(*args))
+        for name in ("_flow_paths", "_local_conn"):
+            original = getattr(chording, name)
+            monkeypatch.setattr(chording, name,
+                                lambda *args, f=original: calls.append(args) or f(*args))
         construct.replay(trace)
         assert len(calls) <= 50
 
@@ -447,14 +457,14 @@ class TestBudget:
         # K_n has the most simple u-v paths of any n-vertex graph; a budget
         # of that many paths truncates no sweep on n vertices
         for n in range(3, 10):
-            bound = construct._kn_path_count(n)
+            bound = chording._kn_path_count(n)
             paths, complete = chording._simple_paths(complete_graph(n), 0, 1, bound, n)
             assert complete and len(paths) == bound == len(set(paths))
             if n <= 7:
                 assert len(reference.all_simple_paths(complete_graph(n), 0, 1)) == bound
             _, complete = chording._simple_paths(complete_graph(n), 0, 1, bound - 1, n)
             assert not complete
-        assert [construct._kn_path_count(n) for n in (8, 9)] == [1957, 13700]
+        assert [chording._kn_path_count(n) for n in (8, 9)] == [1957, 13700]
 
     def test_settled_sweep_still_raises_on_truncation(self):
         # no vertex of the 7-cycle has degree 4, so every sweep is settled
@@ -468,6 +478,27 @@ class TestBudget:
             with pytest.raises(BudgetExceeded):
                 query(SearchBudget(max_paths=1))
             assert query(SearchBudget()) is False
+
+    def test_settled_sweep_enumerates_nothing_it_cannot_truncate(self):
+        g = cycle_graph(7)
+        assert exists_quasi_3cc_path(g, 0, 3) is False
+        assert exists_quasi_chord(g, 0, 3) is False
+        assert chording._simple_paths.cache_info().misses == 0
+
+    def test_verdicts_stay_bounded(self, monkeypatch):
+        g = reference.random_graph(random.Random(5), 8, 0.6)
+        pairs = list(itertools.combinations(range(g.n), 2))
+
+        def answers():
+            return [(exists_quasi_3cc_path(g, u, v), exists_quasi_chord(g, u, v)) for u, v in pairs]
+
+        want = answers()
+        assert {a for pair in want for a in pair} == {False, True}
+        chording.clear_caches()
+        monkeypatch.setattr(chording, "_VERDICTS_MAX", 4)
+        assert answers() == want
+        assert len(chording._verdicts) == 4
+        assert answers() == want
 
     def test_budget_fields_positive(self):
         with pytest.raises(GraphError):

@@ -10,7 +10,8 @@ from unicon4 import (CutWitness, FanWitness, Graph, GraphError, add_edges, compl
                      is_k_connected, is_uniformly_4_connected, k6_minus_edge,
                      local_connectivity, minimum_cuts, octahedron, octahedron_plus,
                      square_of_cycle, vertex_connectivity)
-from unicon4.connectivity import _flow_paths, _kappa
+from unicon4 import connectivity
+from unicon4.connectivity import _flow_paths, _kappa, _local_conn
 
 import reference
 
@@ -194,6 +195,37 @@ class TestAgainstNetworkx:
                 assert local_connectivity(g, u, v) == want, (g, u, v)
                 for cap in range(1, 6):
                     assert local_connectivity(g, u, v, cap) == min(cap, want), (g, u, v, cap)
+
+    def test_kernel_on_masks(self, monkeypatch):
+        # the kernel behind every path count, chording's detours included,
+        # on a vertex mask, with and without the edge uv as a path
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        taken = []
+        for name in ("_components", "_flow_paths"):
+            original = getattr(connectivity, name)
+            monkeypatch.setattr(connectivity, name,
+                                lambda *args, f=original, name=name: taken.append(name) or f(*args))
+        rng = random.Random(45)
+        exits = set()
+        for _ in range(150):
+            n = rng.randint(4, 12)
+            g = reference.random_graph(rng, n, rng.choice((0.3, 0.5, 0.7, 0.9)))
+            u, v = rng.sample(range(n), 2)
+            alive = 1 << u | 1 << v | sum(1 << x for x in range(n) if rng.random() < 0.7)
+            h = nx.Graph()
+            h.add_nodes_from(x for x in range(n) if alive >> x & 1)
+            h.add_edges_from((x, y) for x, y in g.edges()
+                             if alive >> x & alive >> y & 1 and {x, y} != {u, v})
+            detours = local_node_connectivity(h, u, v)
+            for direct in (False, True):
+                want = detours + (direct and g.has_edge(u, v))
+                for cap in range(1, 6):
+                    taken.clear()
+                    got = _local_conn(g._adj, u, v, cap, alive, direct)
+                    assert got == min(cap, want), (g, u, v, bin(alive), direct, cap)
+                    exits.add(taken[-1] if taken else "counted")
+        assert exits == {"counted", "_components", "_flow_paths"}
 
 
 class TestUniform4:

@@ -101,6 +101,35 @@ def test_module_state_finder_sees_each_form():
     assert _module_state(tree) == {"_a", "_b", "_c", "_d", "_e", "_f", "_h"}
 
 
+# outside connectivity, a flow runs only where the paths themselves are
+# needed; a count of paths asks connectivity._local_conn.  May only shrink.
+FLOW_CALLERS = {"chording._witness", "chording.find_quasi_chord", "transform._separated"}
+
+
+def _flow_callers(tree, module):
+    """module.f for each top-level function f that calls _flow_paths."""
+    return {f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and _callee(c) == "_flow_paths" for c in ast.walk(node))}
+
+
+def test_only_path_consumers_run_flows():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "connectivity":
+            found |= _flow_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == FLOW_CALLERS
+
+
+def test_flow_caller_finder_sees_a_private_count():
+    tree = ast.parse(
+        "def _levels(adj, p, alive):\n"
+        "    return [len(_flow_paths(adj, a, b, 3, alive, None)) for a, b in p]\n"
+        "def outer():\n    def inner():\n        return connectivity._flow_paths(1)\n    return inner\n"
+        "def asks():\n    return _local_conn(1)\n")
+    assert _flow_callers(tree, "m") == {"m._levels", "m.outer"}
+
+
 def test_bench_tracer_names_resolve(monkeypatch):
     # the benchmark's tracer wraps functions and reads caches by name, and
     # the bench suite is not part of this one; a rename must fail here
