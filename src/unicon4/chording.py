@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .connectivity import _flow_paths, _local_conn
+from .connectivity import _check_pair, _flow_paths, _local_conn
 from .graph_core import Graph, GraphError, _mask_bits
 
 PathVerts = Tuple[int, ...]
@@ -124,13 +124,6 @@ def _kn_path_count(n: int) -> int:
 def _can_truncate(budget: SearchBudget, n: int) -> bool:
     """Whether the budget can cut short some path sweep on n vertices."""
     return (budget.max_len is not None and budget.max_len < n) or budget.max_paths < _kn_path_count(n)
-
-
-def _check_ends(g: Graph, u: int, v: int) -> None:
-    if u == v:
-        raise GraphError("path endpoints must differ")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError("vertex out of range")
 
 
 # -- the 3-fan test per subpath ----------------------------------------------
@@ -349,7 +342,7 @@ def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
 def find_quasi_3cc_path(g: Graph, u: int, v: int,
                         budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness) pair in enumeration order, or None."""
-    _check_ends(g, u, v)
+    _check_pair(g, u, v)
     return _sweep(("q3cc", g, u, v), g, u, v, budget,
                   functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}",
                   _any_may_reach_3(g._adj, u, v))
@@ -358,7 +351,7 @@ def find_quasi_3cc_path(g: Graph, u: int, v: int,
 def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
                                budget: SearchBudget = DEFAULT_BUDGET):
     """First (path, witness-in-g+e) pair in enumeration order, or None."""
-    _check_ends(g, u, v)
+    _check_pair(g, u, v)
     _check_missing_edge(g, e)
     a, b = e
     adj2 = _plus_edge(g, e)
@@ -374,7 +367,7 @@ def find_quasi_chord(g: Graph, u: int, v: int,
     The cycle passes through u and v non-consecutively; u and v may be
     adjacent in g.
     """
-    _check_ends(g, u, v)
+    _check_pair(g, u, v)
 
     def arcs(p):
         # a suitable cycle = two internally-disjoint u-v paths of length >= 2;

@@ -29,12 +29,28 @@ SCHEMA = "unicon4.report/v1"
 OK, VERDICT_FALSE, INPUT_ERROR, BUDGET = 0, 1, 2, 3
 
 
-def _load_graph(path: str, fmt: Optional[str]) -> Graph:
+def _read(path: str) -> str:
+    """The text of an input file; every file the commands read comes through here."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write(args, payload: dict, text: str) -> None:
+    """Write text to the -o path, if one was given, and name it in the report."""
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except (OSError, UnicodeError) as exc:
+            raise FormatError(f"cannot write {args.output}: {exc}") from None
+        payload["written"] = args.output
+
+
+def _load_graph(path: str, fmt: Optional[str]) -> Graph:
+    text = _read(path)
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "edges"
     if fmt == "g6":
@@ -147,10 +163,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     payload = {"schema": SCHEMA, "command": "reduce",
                "edge": sorted(e), "result_graph6": format_graph6(h),
                "result_n": h.n, "id_map": {str(k): v for k, v in sorted(idmap.items())}}
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(format_graph6(h) + "\n")
-        payload["written"] = args.output
+    _write(args, payload, format_graph6(h) + "\n")
     return payload, OK
 
 
@@ -197,19 +210,12 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
     payload = {"schema": SCHEMA, "command": "decompose",
                "uniform4": True, "base": trace.base, "steps": len(trace.steps),
                "trace": json.loads(text)}
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-        payload["written"] = args.output
+    _write(args, payload, text + "\n")
     return payload, OK
 
 
 def _cmd_replay(args) -> Tuple[dict, int]:
-    try:
-        with open(args.trace, "r", encoding="ascii") as fh:
-            trace = trace_from_json(fh.read())
-    except OSError as exc:
-        raise FormatError(f"cannot read {args.trace}: {exc}") from None
+    trace = trace_from_json(_read(args.trace))
     g = replay(trace, _budget(args), check_compat=not args.skip_compat)
     payload = {"schema": SCHEMA, "command": "replay",
                "base": trace.base, "steps": len(trace.steps),
@@ -258,10 +264,7 @@ def _cmd_convert(args) -> Tuple[dict, int]:
     else:
         raise FormatError(f"unknown output format {args.to!r}")
     payload = {"schema": SCHEMA, "command": "convert", "to": args.to, "output": text}
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-        payload["written"] = args.output
+    _write(args, payload, text)
     return payload, OK
 
 
@@ -311,17 +314,17 @@ def _convert_args(p) -> None:
     _output(p)
 
 
-# name: (help, takes a graph path, takes a path budget, its own arguments)
+# name: (handler, help, takes a graph path, takes a path budget, its own arguments)
 _COMMANDS = {
-    "analyze": ("connectivity report and uniform-4 verdict", True, False, None),
-    "removable": ("removability of every edge", True, False, None),
-    "reduce": ("apply the edge reduction", True, False, _reduce_args),
-    "apply": ("apply a delta expansion", True, True, _apply_args),
-    "decompose": ("trace a construction from a base graph", True, False, _output),
-    "replay": ("rebuild and validate a trace file", False, True, _replay_args),
-    "gen": ("generate all uniformly 4-connected graphs", False, True, _max_n),
-    "verify": ("generation vs oracle vs decomposition", False, True, _max_n),
-    "convert": ("convert between graph formats", True, False, _convert_args),
+    "analyze": (_cmd_analyze, "connectivity report and uniform-4 verdict", True, False, None),
+    "removable": (_cmd_removable, "removability of every edge", True, False, None),
+    "reduce": (_cmd_reduce, "apply the edge reduction", True, False, _reduce_args),
+    "apply": (_cmd_apply, "apply a delta expansion", True, True, _apply_args),
+    "decompose": (_cmd_decompose, "trace a construction from a base graph", True, False, _output),
+    "replay": (_cmd_replay, "rebuild and validate a trace file", False, True, _replay_args),
+    "gen": (_cmd_gen, "generate all uniformly 4-connected graphs", False, True, _max_n),
+    "verify": (_cmd_verify, "generation vs oracle vs decomposition", False, True, _max_n),
+    "convert": (_cmd_convert, "convert between graph formats", True, False, _convert_args),
 }
 
 
@@ -335,7 +338,7 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     # as "unrecognized arguments" the same when one sub-parser is built
     sub = ap.add_subparsers(dest="cmd", required=True,
                             metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
-    for name, (text, path, budget, extra) in _COMMANDS.items():
+    for name, (_, text, path, budget, extra) in _COMMANDS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=text)
             _common(p, path, budget)
@@ -344,20 +347,13 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     return ap
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze, "removable": _cmd_removable, "reduce": _cmd_reduce,
-    "apply": _cmd_apply, "decompose": _cmd_decompose, "replay": _cmd_replay,
-    "gen": _cmd_gen, "verify": _cmd_verify, "convert": _cmd_convert,
-}
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # a command line that names its command needs only that sub-parser
-    args = _build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        payload, code = _HANDLERS[args.cmd](args)
+        payload, code = _COMMANDS[args.cmd][0](args)
     except BudgetExceeded as exc:
         _emit({"schema": SCHEMA, "command": args.cmd, "error": "budget-exceeded",
                "message": str(exc)}, args.human)

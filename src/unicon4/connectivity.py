@@ -210,7 +210,7 @@ def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> i
     return _local_conn(g._adj, u, v, g.n if cap is None else cap, (1 << g.n) - 1, True)
 
 
-def _check_pair(g: Graph, u: int, v: int, name: str, count: Optional[int]) -> None:
+def _check_pair(g: Graph, u: int, v: int, name: str = "", count: Optional[int] = None) -> None:
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"expected two distinct vertices in range, got {u} and {v}")
     if count is not None and count < 1:

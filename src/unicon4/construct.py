@@ -97,6 +97,14 @@ def trace_to_json(trace: ConstructionTrace) -> str:
     return json.dumps({"schema": TRACE_SCHEMA, "base": trace.base, "steps": steps}, indent=2)
 
 
+def _ids(value) -> list:
+    """value, once it is a list of JSON integers; a float or a bool would
+    otherwise be read as some other vertex."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TypeError(f"expected a list of integer vertex ids, got {value!r}")
+    return value
+
+
 def trace_from_json(text: str) -> ConstructionTrace:
     try:
         doc = json.loads(text)
@@ -106,19 +114,23 @@ def trace_from_json(text: str) -> ConstructionTrace:
         raise TraceFormatError(f"expected schema {TRACE_SCHEMA}")
     if doc.get("base") not in BASE_TAGS:
         raise TraceFormatError(f"base must be one of {BASE_TAGS}")
+    if not isinstance(doc.get("steps", []), list):
+        raise TraceFormatError("steps must be a list")
     steps = []
     for i, d in enumerate(doc.get("steps", [])):
         try:
             op = d["op"]
             if op == "delta1":
-                spec: CompatSet = Delta1Spec(d["x_set"], d["y_vertex"],
-                                             [tuple(e) for e in d["ex_edges"]])
+                spec: CompatSet = Delta1Spec(_ids(d["x_set"]), _ids([d["y_vertex"]])[0],
+                                             [tuple(_ids(e)) for e in d["ex_edges"]])
             elif op == "delta2":
-                spec = Delta2Spec(d["x_set"], d["y_set"],
-                                  [tuple(e) for e in d["ex_edges"]],
-                                  [tuple(e) for e in d["ey_edges"]])
+                spec = Delta2Spec(_ids(d["x_set"]), _ids(d["y_set"]),
+                                  [tuple(_ids(e)) for e in d["ex_edges"]],
+                                  [tuple(_ids(e)) for e in d["ey_edges"]])
             else:
                 raise TraceFormatError(f"step {i}: unknown op {op!r}")
+            if not isinstance(d["post_cert"], str):
+                raise TypeError(f"post_cert must be a string, got {d['post_cert']!r}")
             steps.append(TraceStep(op, spec, d["post_cert"].encode("ascii")))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, TraceFormatError):
@@ -360,33 +372,29 @@ class GenerationResult:
         return frozenset(out)
 
 
-def _delta1_specs(h: Graph) -> Iterator[Delta1Spec]:
-    for xs in itertools.combinations(range(h.n), 3):
-        inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
-        if not inside:
-            continue
-        for r in range(1, len(inside) + 1):
-            for exs in itertools.combinations(inside, r):
-                for y in range(h.n):
-                    if y not in xs:
-                        yield Delta1Spec(xs, y, exs)
-
-
-def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
-    combos = []
+def _triples(h: Graph) -> Iterator[Tuple[Tuple[int, int, int], List[tuple]]]:
+    """Each 3-set holding a host edge, with its nonempty sets of inside
+    edges, smallest first: the removal choices of one side of a spec."""
     for xs in itertools.combinations(range(h.n), 3):
         inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
         if inside:
-            subsets = [s for r in range(1, len(inside) + 1)
-                       for s in itertools.combinations(inside, r)]
-            combos.append((xs, subsets))
-    # unordered pairs: swapping the two sides relabels the two new vertices
-    for i in range(len(combos)):
-        xs, xsubs = combos[i]
-        for j in range(i + 1, len(combos)):
-            ys, ysubs = combos[j]
-            if len(set(xs) & set(ys)) > 2:
-                continue
+            yield xs, [s for r in range(1, len(inside) + 1) for s in itertools.combinations(inside, r)]
+
+
+def _delta1_specs(h: Graph) -> Iterator[Delta1Spec]:
+    for xs, subsets in _triples(h):
+        for exs in subsets:
+            for y in range(h.n):
+                if y not in xs:
+                    yield Delta1Spec(xs, y, exs)
+
+
+def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
+    table = list(_triples(h))
+    # unordered pairs of distinct 3-sets, which share at most 2 vertices:
+    # swapping the two sides relabels the two new vertices
+    for i, (xs, xsubs) in enumerate(table):
+        for ys, ysubs in table[i + 1:]:
             for exs in xsubs:
                 for eys in ysubs:
                     yield Delta2Spec(xs, ys, exs, eys)

@@ -159,12 +159,7 @@ def is_removable_structural(g: Graph, e: Pair) -> bool:
     exactly two components of size >= 2 holding one endpoint each."""
     if g.n < 7:
         raise GraphError("the structural criterion needs at least 7 vertices")
-    if not is_k_connected(g, 4):
-        raise GraphError("the structural criterion needs a 4-connected graph")
-    x, y = min(e), max(e)
-    if not g.has_edge(x, y):
-        raise GraphError(f"edge ({x},{y}) not in graph")
-    return not _separated(g, x, y)
+    return not _separated(g, *_checked_edge(g, e))
 
 
 def _separated(g: Graph, x: int, y: int) -> bool:
@@ -316,53 +311,34 @@ def _triangle(xs) -> Tuple[Pair, ...]:
     return tuple(itertools.combinations(sorted(xs), 2))
 
 
-def _q3cc_violation(reduced: Graph, pair: Pair, budget: SearchBudget) -> Optional[CompatViolation]:
-    found = chording.find_quasi_3cc_path(reduced, pair[0], pair[1], budget)
-    if found is None:
-        return None
-    path, witness = found
-    return CompatViolation(pair, "quasi_3cc", None, path, witness)
-
-
 def is_quasi_4_compatible(h: Graph, spec: CompatSet,
                           budget: SearchBudget = DEFAULT_BUDGET) -> CompatReport:
     """Decide whether the parameter set passes every path-exclusion
     condition of its type; the first failing pair is reported with a
     re-validated witness."""
     reduced = _reduced(h, spec)
+    kept_x = [e for e in _triangle(spec.x_set) if e not in spec.ex_edges]
     if isinstance(spec, Delta1Spec):
-        return _compat_type1(reduced, spec, budget)
-    return _compat_type2(reduced, spec, budget)
-
-
-def _compat_type1(reduced: Graph, spec: Delta1Spec, budget: SearchBudget) -> CompatReport:
-    # triangle pairs first: their verdicts are shared across attachment vertices
-    pairs = [e for e in _triangle(spec.x_set) if e not in spec.ex_edges]
-    pairs += [(u, spec.y_vertex) for u in spec.x_set]
-    for pair in pairs:
-        hit = _q3cc_violation(reduced, pair, budget)
-        if hit is not None:
-            return CompatReport(False, hit)
-    return CompatReport(True, None)
-
-
-def _compat_type2(reduced: Graph, spec: Delta2Spec, budget: SearchBudget) -> CompatReport:
-    xs, ys = set(spec.x_set), set(spec.y_set)
-
-    # (i): plain path exclusion across the two 3-sets and on triangle
-    # pairs whose edge is not being removed
-    pairs = [(u, v) for u in sorted(xs - ys) for v in sorted(ys - xs)]
-    pairs += [e for e in _triangle(spec.x_set) if e not in spec.ex_edges]
-    pairs += [e for e in _triangle(spec.y_set) if e not in spec.ey_edges]
-    seen = set()
+        # triangle pairs first: their verdicts are shared across attachment vertices
+        pairs = kept_x + [(u, spec.y_vertex) for u in spec.x_set]
+    else:
+        # (i): plain path exclusion across the two 3-sets and on triangle
+        # pairs whose edge is not being removed
+        xs, ys = set(spec.x_set), set(spec.y_set)
+        pairs = [(u, v) for u in sorted(xs - ys) for v in sorted(ys - xs)] + kept_x
+        pairs += [e for e in _triangle(spec.y_set) if e not in spec.ey_edges]
+    seen = set()  # a delta-1 spec never repeats a pair
     for pair in pairs:
         key = tuple(sorted(pair))
         if key in seen:
             continue
         seen.add(key)
-        hit = _q3cc_violation(reduced, pair, budget)
-        if hit is not None:
-            return CompatReport(False, hit)
+        found = chording.find_quasi_3cc_path(reduced, pair[0], pair[1], budget)
+        if found is not None:
+            path, witness = found
+            return CompatReport(False, CompatViolation(pair, "quasi_3cc", None, path, witness))
+    if isinstance(spec, Delta1Spec):
+        return CompatReport(True, None)
     if len(xs & ys) == 2:
         u, v = sorted(xs & ys)
         found = chording.find_quasi_chord(reduced, u, v, budget)

@@ -269,6 +269,29 @@ class TestConvert:
         assert code == 0 and parse_edge_list(out.read_text()) == octahedron()
 
 
+class TestFileErrors:
+    # every file the commands read or write goes through cli._read or
+    # cli._write; a file they cannot use is an input error, never a traceback
+
+    def _input_error(self, capsys, *argv):
+        code = main([*argv, "--human"])
+        assert code == 2
+        assert "error: FormatError" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("cmd", ["analyze", "replay"])
+    def test_non_ascii_input(self, capsys, tmp_path, cmd):
+        path = tmp_path / "in.g6"
+        path.write_bytes(b"E\xffw\n")
+        self._input_error(capsys, cmd, str(path))
+
+    @pytest.mark.parametrize("argv", [["reduce", "k6", "--edge", "0,1"], ["decompose", "c6sq"],
+                                      ["convert", "c6sq", "--to", "g6"]], ids=lambda a: a[0])
+    def test_output_into_missing_directory(self, capsys, files, tmp_path, argv):
+        out = tmp_path / "no" / "such" / "out.txt"
+        self._input_error(capsys, argv[0], files[argv[1]], *argv[2:], "-o", str(out))
+        assert not out.parent.exists()
+
+
 class TestOutputContract:
     def test_all_reports_carry_schema_and_parse_back(self, capsys, files):
         for argv in (["analyze", files["c6sq"]],
@@ -299,7 +322,7 @@ PATH_SWEEPS = {"apply", "replay", "gen", "verify"}
 
 class TestBudgetFlags:
     def test_every_subcommand_is_listed(self):
-        assert set(ARGV) == set(cli._HANDLERS)
+        assert set(ARGV) == set(cli._COMMANDS)
 
     @pytest.mark.parametrize("cmd", sorted(PATH_SWEEPS))
     def test_path_sweeps_take_the_budget(self, cmd):

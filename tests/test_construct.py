@@ -454,6 +454,14 @@ class TestTraces:
                 lambda d: d.update(base="C9SQ"),
                 lambda d: d["steps"][0].update(op="delta9"),
                 lambda d: d["steps"][0].pop("x_set"),
+                # mistyped fields: each once crashed replay or named another vertex
+                lambda d: d.update(steps=5),
+                lambda d: d["steps"][0].update(post_cert=5),
+                lambda d: d["steps"][0].update(x_set="012"),
+                lambda d: d["steps"][0].update(x_set=[0.0, 1, 2]),
+                lambda d: d["steps"][0].update(op="delta1", y_vertex=3.7),
+                lambda d: d["steps"][0].update(op="delta1", y_vertex=True),
+                lambda d: d["steps"][0].update(ex_edges=[[2, 3.0]]),
         ):
             doc = json.loads(good)
             breaker(doc)

@@ -130,6 +130,33 @@ def test_flow_caller_finder_sees_a_private_count():
     assert _flow_callers(tree, "m") == {"m._levels", "m.outer"}
 
 
+# the CLI touches files only through _read and _write, which turn every
+# failure into an input error; a new command must not open a file itself
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_openers(tree):
+    """Names of the top-level definitions that open a file, and "<module>"
+    for an open outside them."""
+    return {getattr(node, "name", "<module>") for node in tree.body
+            if any(isinstance(c, ast.Call) and _callee(c) in FILE_CALLS for c in ast.walk(node))}
+
+
+def test_cli_opens_files_only_in_read_and_write():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert _file_openers(tree) == {"_read", "_write"}
+
+
+def test_file_opener_finder_sees_each_form():
+    tree = ast.parse(
+        "def _read(p):\n    with open(p) as fh:\n        return fh.read()\n"
+        "def _cmd(args):\n    def inner():\n        return io.open(args.path)\n    return inner\n"
+        "def _dump(path, text):\n    path.write_text(text)\n"
+        "def _quiet(args):\n    return _read(args.path)\n"
+        "LOG = open('log.txt', 'w')\n")
+    assert _file_openers(tree) == {"_read", "_cmd", "_dump", "<module>"}
+
+
 def test_bench_tracer_names_resolve(monkeypatch):
     # the benchmark's tracer wraps functions and reads caches by name, and
     # the bench suite is not part of this one; a rename must fail here

@@ -75,9 +75,14 @@ class TestReduceEdge:
         h, idmap = reduce_edge(octahedron(), (0, 1))
         assert h == complete_graph(4) and sorted(idmap) == [2, 3, 4, 5]
 
-    def test_absent_edge(self):
-        with pytest.raises(GraphError):
-            reduce_edge(octahedron(), (0, 3))
+    @pytest.mark.parametrize("g, e", [(octahedron(), (0, 3)), (square_of_cycle(8), (-1, 1)),
+                                      (square_of_cycle(8), (7, 9)), (square_of_cycle(8), (0, 0))],
+                             ids=["octahedron-0-3", "c8sq--1-1", "c8sq-7-9", "c8sq-0-0"])
+    def test_absent_edge(self, g, e):
+        # one edge check serves the reduction and both removability forms
+        for query in (reduce_edge, is_removable, is_removable_structural):
+            with pytest.raises(GraphError):
+                query(g, e)
 
     def test_requires_4_connected(self):
         with pytest.raises(GraphError):
