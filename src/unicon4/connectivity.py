@@ -15,9 +15,11 @@ detours included.  It counts u-v paths inside a vertex mask, the edge uv
 only when asked to.  Every other path leaves u and enters v through its
 own neighbour in the mask, which caps the count; by Menger's theorem some
 maximum family holds the edge and u-c-v for every common neighbour c, so
-these are counted first.  With one path missing, it exists iff some
-component of the mask without u, v and the common neighbours meets both
-neighbourhoods; only with more missing does a flow run there, uv barred.
+these are counted first.  The other paths run between the two
+neighbourhoods inside the mask without u, v and the common neighbours;
+a greedy search finds shortest ones there, one at a time, deleting each.
+Its count is a lower bound, exact when it is 0; only when it falls short
+of the cap does a flow run, uv barred.
 Global connectivity probes only the pairs of `_probe_pairs`: a minimum cut
 either misses a vertex v of minimum degree and separates it from a
 non-neighbour, or contains v and separates two neighbours of v.
@@ -182,7 +184,11 @@ def _flow_paths(adj: Sequence[int], s: int, t: int, limit: int,
 
 def _local_conn(adj: Sequence[int], u: int, v: int, cap: int, alive: int, direct: bool) -> int:
     """min(cap, the number of internally disjoint u-v paths inside alive),
-    the edge uv counted only when direct; alive must include u and v."""
+    the edge uv counted only when direct; alive must include u and v.
+
+    The edge and the common neighbours are counted first; the greedy stage
+    then adds a lower bound on the rest, which settles the count when it
+    reaches the cap or finds no path at all.  Only a shortfall flows."""
     hood_u = adj[u] & alive & ~(1 << v)
     hood_v = adj[v] & alive & ~(1 << u)
     edge = 1 if direct and adj[u] >> v & 1 else 0
@@ -192,10 +198,45 @@ def _local_conn(adj: Sequence[int], u: int, v: int, cap: int, alive: int, direct
     if known >= cap:
         return cap
     alive &= ~common
-    if cap - known == 1:
-        inner = alive & ~(1 << u) & ~(1 << v)
-        return known + any(c & hood_u and c & hood_v for c in _components(adj, inner))
+    inner = alive & ~(1 << u) & ~(1 << v)
+    found = _greedy_paths(adj, hood_u & ~common, hood_v & ~common, cap - known, inner)
+    if known + found >= cap or not found:
+        return known + found
     return known + len(_flow_paths(adj, u, v, cap - known, alive, (u, v)))
+
+
+def _greedy_paths(adj: Sequence[int], starts: int, goals: int, limit: int, inner: int) -> int:
+    """Up to limit vertex-disjoint starts-goals paths inside inner, found one
+    at a time: each is a shortest one, grown in breadth-first layers of
+    bitmasks, traced back through the lowest neighbour in each layer, and
+    its vertices deleted.  A lower bound on the maximum, exact when 0."""
+    found = 0
+    while found < limit:
+        layers = []
+        frontier = starts & inner
+        seen = frontier
+        while not frontier & goals:
+            if not frontier:
+                return found
+            layers.append(frontier)
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                grow |= adj[low.bit_length() - 1]
+            frontier = grow & inner & ~seen
+            seen |= frontier
+        step = frontier & goals
+        path = step & -step
+        cur = path.bit_length() - 1
+        for layer in reversed(layers):
+            step = adj[cur] & layer
+            low = step & -step
+            cur = low.bit_length() - 1
+            path |= low
+        inner &= ~path
+        found += 1
+    return found
 
 
 # -- public operations -------------------------------------------------------

@@ -52,31 +52,36 @@ class Graph:
 
     # -- queries ---------------------------------------------------------
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
+
     def adj_mask(self, v: int) -> int:
-        return self._adj[v]
+        return self._adj[self._vertex(v)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u] >> v & 1)
+        return bool(self._adj[self._vertex(u)] >> self._vertex(v) & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._vertex(v)].bit_count()
 
     def neighbors(self, v: int) -> List[int]:
-        return _mask_bits(self._adj[v])
+        return _mask_bits(self._adj[self._vertex(v)])
 
     def edges(self) -> List[Edge]:
         return [(u, v) for u in range(self.n) for v in _mask_bits(self._adj[u] >> (u + 1) << (u + 1))]
 
     @property
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
         return all(self._adj[v] == full ^ (1 << v) for v in range(self.n))
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.n)), default=0)
+        return min((m.bit_count() for m in self._adj), default=0)
 
     # -- value semantics ---------------------------------------------------
 

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unicon4 import (CutWitness, FanWitness, Graph, GraphError, add_edges, complete_graph,
-                     connectivity_report, delete_vertex, disjoint_path_fan, ends, fragments,
-                     is_k_connected, is_uniformly_4_connected, k6_minus_edge,
+                     connectivity_report, decompose, delete_vertex, disjoint_path_fan, ends,
+                     fragments, is_k_connected, is_uniformly_4_connected, k6_minus_edge,
                      local_connectivity, minimum_cuts, octahedron, octahedron_plus,
-                     square_of_cycle, vertex_connectivity)
-from unicon4 import connectivity
+                     removable_edges, square_of_cycle, vertex_connectivity)
+from unicon4 import chording, connectivity, transform
 from unicon4.connectivity import _flow_paths, _kappa, _local_conn
 
 import reference
@@ -202,7 +202,7 @@ class TestAgainstNetworkx:
         nx = pytest.importorskip("networkx")
         local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
         taken = []
-        for name in ("_components", "_flow_paths"):
+        for name in ("_greedy_paths", "_flow_paths"):
             original = getattr(connectivity, name)
             monkeypatch.setattr(connectivity, name,
                                 lambda *args, f=original, name=name: taken.append(name) or f(*args))
@@ -225,7 +225,59 @@ class TestAgainstNetworkx:
                     got = _local_conn(g._adj, u, v, cap, alive, direct)
                     assert got == min(cap, want), (g, u, v, bin(alive), direct, cap)
                     exits.add(taken[-1] if taken else "counted")
-        assert exits == {"counted", "_components", "_flow_paths"}
+        assert exits == {"counted", "_greedy_paths", "_flow_paths"}
+
+    def test_greedy_paths_bound_the_masked_value(self):
+        # the kernel's greedy stage between the masked neighbourhoods of u
+        # and v, less their common neighbours: never above the Menger value,
+        # 0 exactly when it is, and sometimes short of it, so a flow runs
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        rng = random.Random(47)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(4, 14)
+            g = reference.random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            u, v = rng.sample(range(n), 2)
+            alive = 1 << u | 1 << v | sum(1 << x for x in range(n) if rng.random() < 0.8)
+            common = g._adj[u] & g._adj[v] & alive
+            starts = g._adj[u] & alive & ~common & ~(1 << v)
+            goals = g._adj[v] & alive & ~common & ~(1 << u)
+            inner = alive & ~common & ~(1 << u) & ~(1 << v)
+            h = nx.Graph()
+            h.add_nodes_from((u, v))
+            h.add_edges_from((x, y) for x, y in g.edges() if inner >> x & inner >> y & 1)
+            h.add_edges_from((u, x) for x in range(n) if starts >> x & 1)
+            h.add_edges_from((v, x) for x in range(n) if goals >> x & 1)
+            want = local_node_connectivity(h, u, v)
+            for limit in range(1, 6):
+                found = connectivity._greedy_paths(g._adj, starts, goals, limit, inner)
+                assert found <= min(limit, want), (g, u, v, bin(alive), limit)
+                assert (found == 0) == (want == 0), (g, u, v, bin(alive), limit)
+                if found == limit:
+                    outcomes.add("reached")
+                elif found < min(limit, want):
+                    outcomes.add("short")
+        assert outcomes == {"reached", "short"}
+
+
+@pytest.mark.parametrize("run, most", [
+    (lambda g: is_k_connected(g, 4), 0), (removable_edges, 0), (decompose, 0),
+    (connectivity_report, 10)], ids=["is_k_connected", "removable_edges", "decompose",
+                                     "connectivity_report"])
+def test_square_of_cycle_counts_without_flows(monkeypatch, run, most):
+    # on C16^2 the greedy stage settles every count of the first three, and
+    # all but a few of the report's uncapped pairs
+    calls = []
+    flow = connectivity._flow_paths
+    for module in (connectivity, chording, transform):
+        monkeypatch.setattr(module, "_flow_paths", lambda *args: calls.append(args) or flow(*args))
+    chording.clear_caches()
+    try:
+        run(square_of_cycle(16))
+    finally:
+        chording.clear_caches()
+    assert len(calls) <= most
 
 
 class TestUniform4:

@@ -39,6 +39,17 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_accessors_reject_ids_out_of_range(self, bad):
+        # a negative id once read vertex n + id: has_edge(-1, 6) was True on C8^2
+        g = square_of_cycle(8)
+        calls = [lambda: g.has_edge(bad, 6), lambda: g.has_edge(0, bad),
+                 lambda: g.degree(bad), lambda: g.neighbors(bad), lambda: g.adj_mask(bad)]
+        for call in calls:
+            with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
+                call()
+        assert g.has_edge(7, 6) and g.degree(7) == 4 and g.neighbors(0) == [1, 2, 6, 7]
+
     def test_set_semantics(self):
         assert Graph(3, [(0, 1), (1, 0), (0, 1)]).edge_count == 1
 

@@ -106,11 +106,19 @@ def test_module_state_finder_sees_each_form():
 FLOW_CALLERS = {"chording._witness", "chording.find_quasi_chord", "transform._separated"}
 
 
-def _flow_callers(tree, module):
-    """module.f for each top-level function f that calls _flow_paths."""
+# inside connectivity, counts go through the kernel _local_conn alone, and
+# only disjoint_path_fan flows for the paths themselves.  May only shrink.
+KERNEL_CALLERS = {
+    "_flow_paths": {"connectivity._local_conn", "connectivity.disjoint_path_fan"},
+    "_greedy_paths": {"connectivity._local_conn"},
+}
+
+
+def _flow_callers(tree, module, callee="_flow_paths"):
+    """module.f for each top-level function f that calls callee."""
     return {f"{module}.{node.name}" for node in tree.body
             if isinstance(node, ast.FunctionDef)
-            and any(isinstance(c, ast.Call) and _callee(c) == "_flow_paths" for c in ast.walk(node))}
+            and any(isinstance(c, ast.Call) and _callee(c) == callee for c in ast.walk(node))}
 
 
 def test_only_path_consumers_run_flows():
@@ -121,6 +129,12 @@ def test_only_path_consumers_run_flows():
     assert found == FLOW_CALLERS
 
 
+def test_connectivity_counts_only_in_its_kernel():
+    tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
+    for callee, callers in KERNEL_CALLERS.items():
+        assert _flow_callers(tree, "connectivity", callee) == callers, callee
+
+
 def test_flow_caller_finder_sees_a_private_count():
     tree = ast.parse(
         "def _levels(adj, p, alive):\n"
@@ -128,6 +142,7 @@ def test_flow_caller_finder_sees_a_private_count():
         "def outer():\n    def inner():\n        return connectivity._flow_paths(1)\n    return inner\n"
         "def asks():\n    return _local_conn(1)\n")
     assert _flow_callers(tree, "m") == {"m._levels", "m.outer"}
+    assert _flow_callers(tree, "m", "_local_conn") == {"m.asks"}
 
 
 # the CLI touches files only through _read and _write, which turn every
