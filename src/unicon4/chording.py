@@ -21,7 +21,12 @@ degree minus path neighbours, of which an end has one or more, an interior
 vertex two or more, and each end of a chord p[i]p[j] one more.  So a cap of
 3 (off-path degree 3 at two vertices, or 2 at both ends of a chord) needs
 two vertices of degree >= 4 among u, v or >= 5 elsewhere, in g, or in g + e
-for e-plus; a quasi chord needs degree >= 3 at u and v.
+for e-plus; a quasi chord needs degree >= 3 at u and v.  A settled sweep
+lists its paths only to tell "no path" from "unresolved", so it enumerates
+none unless the budget can cut short that very sweep: one whose budget is
+at least the Bregman bound on its u-v path count (each path u...v, closed
+by v -> u, is a permutation counted by the permanent of A + I plus the
+entry (v, u)) cannot be truncated.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ class SearchBudget:
     max_len: Optional[int] = None  # max vertices per path; None = graph order
 
     def __post_init__(self):
-        if self.max_paths <= 0 or (self.max_len is not None and self.max_len <= 0):
-            raise GraphError("search budget fields must be positive")
+        fields = (self.max_paths,) if self.max_len is None else (self.max_paths, self.max_len)
+        if any(not isinstance(f, int) or isinstance(f, bool) or f <= 0 for f in fields):
+            raise GraphError("search budget fields must be positive integers")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -121,9 +127,34 @@ def _kn_path_count(n: int) -> int:
     return sum(math.factorial(n - 2) // math.factorial(k) for k in range(n - 1))
 
 
-def _can_truncate(budget: SearchBudget, n: int) -> bool:
-    """Whether the budget can cut short some path sweep on n vertices."""
-    return (budget.max_len is not None and budget.max_len < n) or budget.max_paths < _kn_path_count(n)
+def _path_bound(adj: Sequence[int], u: int, v: int) -> float:
+    """An upper bound on the number of simple u-v paths in the graph of adj.
+
+    A path u = x0 ... xk = v maps one-to-one to the permutation that sends
+    each x_i to x_{i+1} and v to u and fixes every other vertex.  That
+    permutation is a nonzero term of the permanent of A + I with a 1 added
+    at (v, u), so the count is at most that permanent, and by Bregman's
+    theorem at most the product over rows x of (r_x!)^(1/r_x), where r_x is
+    deg(x) + 1, one more for x = v when v is not adjacent to u.  The sum of
+    logs gets an upward margin, so rounding can only err toward enumerating.
+    """
+    total = 0.0
+    for x, mask in enumerate(adj):
+        r = mask.bit_count() + 1 + (x == v and not mask >> u & 1)
+        total += math.lgamma(r + 1) / r
+    total = total * (1 + 1e-9) + 1e-9
+    return math.exp(total) if total < 700 else math.inf
+
+
+def _can_truncate(budget: SearchBudget, n: int,
+                  ends: Optional[Tuple[Sequence[int], int, int]] = None) -> bool:
+    """Whether the budget can cut short some path sweep on n vertices or,
+    given ends = (adj, u, v), the u-v sweep of that graph."""
+    if budget.max_len is not None and budget.max_len < n:
+        return True
+    if budget.max_paths >= _kn_path_count(n):
+        return False
+    return ends is None or budget.max_paths < _path_bound(*ends)
 
 
 # -- the 3-fan test per subpath ----------------------------------------------
@@ -317,13 +348,16 @@ def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
     in enumeration order, or None when there is none; cached under key and
     budget.  A truncated sweep that found nothing raises BudgetExceeded, even
-    when possible is False: the degrees rule out every path, none is
-    screened, and the paths are enumerated only if the budget can truncate."""
+    when possible is False: the degrees rule out every path and none is
+    screened, but the paths are still enumerated when the budget can
+    truncate this sweep, i.e. when max_len < n or max_paths is below both
+    P(n) and _path_bound, Bregman's bound on the permanent of A + I plus the
+    entry (v, u), which counts each u-v path closed into a cycle by v -> u."""
     key += (budget,)
     if key in _verdicts:
         return _verdicts[key]
     found = None
-    if possible or _can_truncate(budget, g.n):
+    if possible or _can_truncate(budget, g.n, (g._adj, u, v)):
         paths, complete = _simple_paths(g, u, v, budget.max_paths, min(budget.max_len or g.n, g.n))
         for p in paths if possible else ():
             detail = hit(p)

@@ -503,3 +503,44 @@ class TestBudget:
     def test_budget_fields_positive(self):
         with pytest.raises(GraphError):
             SearchBudget(max_paths=0)
+        for fields in ({"max_paths": 2.5}, {"max_paths": True}, {"max_paths": "3"},
+                       {"max_len": 1.5}, {"max_len": False}, {"max_len": 0}, {"max_len": -2}):
+            with pytest.raises(GraphError):
+                SearchBudget(**fields)
+        assert SearchBudget(max_paths=3, max_len=4) == SearchBudget(3, 4)
+
+    def test_path_bound_is_sound(self):
+        # Bregman's bound may never fall below the true path count, which the
+        # reference enumeration gives without sharing any code with it
+        rng = random.Random(23)
+        adjacent = set()
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            g = reference.random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+            u, v = rng.sample(range(n), 2)
+            adjacent.add(g.has_edge(u, v))
+            assert chording._path_bound(g._adj, u, v) >= len(reference.all_simple_paths(g, u, v))
+        assert adjacent == {False, True}
+        for n in range(3, 9):
+            k, c = complete_graph(n), cycle_graph(n)
+            assert chording._path_bound(k._adj, 0, 1) >= chording._kn_path_count(n)
+            for v in range(1, n):
+                assert chording._path_bound(c._adj, 0, v) >= len(reference.all_simple_paths(c, 0, v))
+        lone = Graph(5, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        assert chording._path_bound(lone._adj, 0, 3) >= len(reference.all_simple_paths(lone, 0, 3)) == 0
+
+    def test_settled_sweep_past_n11_enumerates_only_when_truncatable(self):
+        # at n = 13 the default budget is below P(13), yet the Bregman bound
+        # on the 1-6 paths (about 1.5e5; 474 paths) shows the sweep cannot be
+        # cut short; vertex 1 has degree 2, so all three sweeps are settled
+        g = remove_edges(square_of_cycle(13), [(0, 1), (1, 2)])
+        queries = (lambda b: exists_quasi_3cc_path(g, 1, 6, b),
+                   lambda b: exists_e_plus_quasi_3cc_path(g, 1, 6, (0, 1), b),
+                   lambda b: exists_quasi_chord(g, 1, 6, b))
+        assert chording._can_truncate(SearchBudget(), g.n)
+        assert [query(SearchBudget()) for query in queries] == [False] * 3
+        assert chording._simple_paths.cache_info().misses == 0
+        for budget in (SearchBudget(max_paths=1), SearchBudget(max_len=4)):
+            for query in queries:
+                with pytest.raises(BudgetExceeded):
+                    query(budget)

@@ -135,6 +135,22 @@ def test_connectivity_counts_only_in_its_kernel():
         assert _flow_callers(tree, "connectivity", callee) == callers, callee
 
 
+# every path enumeration goes through the one sweep, and only the one
+# truncation test asks for the path-count bound, so no enumeration site
+# can skip the per-sweep test.  May only shrink.
+SWEEP_CALLERS = {
+    "_simple_paths": {"chording._sweep"},
+    "_path_bound": {"chording._can_truncate"},
+}
+
+
+def test_paths_are_enumerated_only_by_the_sweep():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    for callee, callers in SWEEP_CALLERS.items():
+        found = set().union(*(_flow_callers(tree, module, callee) for module, tree in trees.items()))
+        assert found == callers, callee
+
+
 def test_flow_caller_finder_sees_a_private_count():
     tree = ast.parse(
         "def _levels(adj, p, alive):\n"
