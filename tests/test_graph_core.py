@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -272,6 +273,21 @@ class TestCanonical:
         for p in group:
             assert sorted(p) == list(range(g.n))
             assert relabel(g, dict(enumerate(p))) == g
+
+    def test_labelings_and_automorphisms_pinned(self):
+        # decompose traces follow these vertex orders, not only the
+        # certificates, so the exact labeling and group of each graph is pinned
+        rng = random.Random(2020)
+        pool = list(reference.all_labeled_graphs(5))
+        pool += [square_of_cycle(n) for n in range(5, 17)]
+        pool += [reference.random_graph(rng, rng.randint(1, 16), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+                 for _ in range(200)]
+        digest = hashlib.sha256()
+        for g in pool:
+            digest.update(repr((graph_core.canonical_labeling(g),
+                                graph_core.automorphism_group(g))).encode("ascii"))
+        assert digest.hexdigest() == (
+            "22b98acde9e11e087aaa7648b25531de4557134a486e4e0d7ef22a6425d9768a")
 
 
 class TestAgainstNetworkx:
