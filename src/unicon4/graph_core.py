@@ -39,16 +39,19 @@ class Graph:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        _or_edges(adj, edges)
         self.n = n
         self._adj = tuple(adj)
         self._hash = hash((n, self._adj))
+
+    @classmethod
+    def _of(cls, adj: Sequence[int]) -> "Graph":
+        # rows already symmetric, loop-free and in range: built from a valid Graph
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = tuple(adj)
+        g._hash = hash((g.n, g._adj))
+        return g
 
     # -- queries ---------------------------------------------------------
 
@@ -95,6 +98,17 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _or_edges(adj: List[int], edges: Iterable[Edge]) -> None:
+    n = len(adj)
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+
 def _mask_bits(mask: int) -> List[int]:
     out = []
     while mask:
@@ -108,23 +122,30 @@ def _mask_bits(mask: int) -> List[int]:
 
 
 def remove_edges(g: Graph, drop: Iterable[Edge]) -> Graph:
-    dropset = {_norm_edge(u, v) for u, v in drop}
-    for u, v in dropset:
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
+    adj = list(g._adj)
+    for u, v in {_norm_edge(u, v) for u, v in drop}:
+        if not (0 <= u < g.n and 0 <= v < g.n) or not adj[u] >> v & 1:
             raise GraphError(f"edge ({u},{v}) not in graph")
-    return Graph(g.n, [e for e in g.edges() if e not in dropset])
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph._of(adj)
 
 
 def add_edges(g: Graph, extra: Iterable[Edge]) -> Graph:
-    return Graph(g.n, list(g.edges()) + [_norm_edge(u, v) for u, v in extra])
+    adj = list(g._adj)
+    _or_edges(adj, [_norm_edge(u, v) for u, v in extra])
+    return Graph._of(adj)
 
 
 def add_vertex_with_neighbors(g: Graph, nbrs: Iterable[int]) -> Graph:
     nbrs = sorted(set(nbrs))
     if nbrs and not (0 <= nbrs[0] and nbrs[-1] < g.n):
         raise GraphError(f"neighbor set {nbrs} mentions unknown vertices")
-    x = g.n
-    return Graph(g.n + 1, list(g.edges()) + [(u, x) for u in nbrs])
+    x = 1 << g.n
+    mask = 0
+    for u in nbrs:
+        mask |= 1 << u
+    return Graph._of([row | x if mask >> u & 1 else row for u, row in enumerate(g._adj)] + [mask])
 
 
 def delete_vertex(g: Graph, v: int) -> Tuple[Graph, Dict[int, int]]:
@@ -133,8 +154,9 @@ def delete_vertex(g: Graph, v: int) -> Tuple[Graph, Dict[int, int]]:
         raise GraphError(f"vertex {v} not in graph")
     keep = [u for u in range(g.n) if u != v]
     remap = {old: new for new, old in enumerate(keep)}
-    edges = [(remap[a], remap[b]) for a, b in g.edges() if a != v and b != v]
-    return Graph(g.n - 1, edges), remap
+    low = (1 << v) - 1
+    # bits below v stay, bits above it move down one place
+    return Graph._of([g._adj[u] & low | g._adj[u] >> (v + 1) << v for u in keep]), remap
 
 
 def induced(g: Graph, verts: Iterable[int]) -> Graph:
@@ -293,34 +315,56 @@ def to_dot(g: Graph, name: str = "G") -> str:
 
 # -- canonical certificates -------------------------------------------------
 #
-# Exact canonical form by iterated neighborhood refinement plus a
-# backtracking search over the remaining cell choices.  Discovered
-# automorphisms prune sibling branches, which keeps vertex-transitive
-# graphs (complete graphs, squared cycles) cheap.  Exactness was the
-# requirement; the n cap keeps the search trivially safe.
+# Exact canonical form by equitable refinement (McKay, "Practical graph
+# isomorphism", 1981) plus a backtracking search over the remaining cell
+# choices.  A refinement round splits every cell at once by its vertices'
+# counts into the cells and orders the pieces by count tuple; it counts
+# only into the pieces the previous round split off, as bit-sliced
+# masks, which gives the partitions, labelings and automorphisms of
+# counting into every cell.  Discovered automorphisms prune sibling
+# branches, which keeps vertex-transitive graphs (complete graphs,
+# squared cycles) cheap.  Exactness was the requirement; the n cap keeps
+# the search trivially safe.
 
 
-def _refine(adj: Sequence[int], cells: List[int]) -> List[int]:
-    # cells: list of bitmasks, ordered; refined until equitable
-    while True:
-        changed = False
+def _refine(adj: Sequence[int], cells: List[int], fresh: List[int]) -> List[int]:
+    # cells: list of bitmasks, ordered; refined until equitable.  fresh:
+    # the pieces the last split made, in cell order, less the last piece
+    # of each split; a count into any other cell is constant on each cell
+    # or fixed by the counts into its sibling pieces, so it cannot split
+    # a cell or reorder its pieces
+    while fresh and len(cells) < len(adj):  # a discrete partition is equitable
+        cuts: List[int] = []  # splitter by splitter, each high count bit first
+        for splitter in fresh:
+            # slices[b]: the vertices whose count into splitter has bit b set
+            slices: List[int] = []
+            while splitter:
+                low = splitter & -splitter
+                splitter ^= low
+                carry = adj[low.bit_length() - 1]
+                for b, s in enumerate(slices):
+                    slices[b] = s ^ carry
+                    carry &= s
+                    if not carry:
+                        break
+                else:
+                    slices.append(carry)
+            cuts.extend(reversed(slices))
         new_cells: List[int] = []
+        fresh = []
         for cell in cells:
             if cell & (cell - 1) == 0:  # singleton
                 new_cells.append(cell)
                 continue
-            groups: Dict[Tuple[int, ...], int] = {}
-            for v in _mask_bits(cell):
-                key = tuple((adj[v] & c).bit_count() for c in cells)
-                groups[key] = groups.get(key, 0) | (1 << v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                new_cells.extend(groups[k] for k in sorted(groups))
+            # cut by cut, zeros before ones: pieces in ascending count tuple order
+            pieces = [cell]
+            for s in cuts:
+                if 0 != cell & s != cell:
+                    pieces = [q for p in pieces for q in (p & ~s, p & s) if q]
+            new_cells += pieces
+            fresh += pieces[:-1]
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 def _leaf_code(adj: Sequence[int], order: Sequence[int]) -> int:
@@ -342,15 +386,15 @@ class _CanonSearch:
         self.autos: List[Dict[int, int]] = []
 
     def run(self) -> Tuple[int, ...]:
-        cells = _refine(self.adj, [(1 << self.n) - 1]) if self.n else []
+        full = (1 << self.n) - 1
+        cells = _refine(self.adj, [full], [full]) if self.n else []
         self._descend(cells, [])
         if self.best_order is None:
             raise RuntimeError("canonical search reached no leaf")
         return self.best_order
 
     def _descend(self, cells: List[int], fixed: List[int]) -> None:
-        split_at = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if split_at is None:
+        if len(cells) == self.n:  # discrete: a leaf
             order = tuple(c.bit_length() - 1 for c in cells)
             code = _leaf_code(self.adj, order)
             if self.best_code is None or code < self.best_code:
@@ -359,6 +403,7 @@ class _CanonSearch:
                 base = self.best_order
                 self.autos.append({base[i]: order[i] for i in range(self.n)})
             return
+        split_at = next(i for i, c in enumerate(cells) if c & (c - 1))
         cell = cells[split_at]
         tried: List[int] = []
         for v in _mask_bits(cell):
@@ -366,7 +411,7 @@ class _CanonSearch:
                 continue
             tried.append(v)
             split = cells[:split_at] + [1 << v, cell ^ (1 << v)] + cells[split_at + 1:]
-            self._descend(_refine(self.adj, split), fixed + [v])
+            self._descend(_refine(self.adj, split, [1 << v]), fixed + [v])
 
     def _orbit_closure(self, tried: List[int], fixed: List[int]) -> set:
         # orbit of the explored siblings under the group generated by the
@@ -420,8 +465,18 @@ def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _form_from(g: Graph, order: Sequence[int]) -> Graph:
-    pos = {old: i for i, old in enumerate(order)}
-    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+    place = [0] * g.n  # old id -> its bit at the new position
+    for i, old in enumerate(order):
+        place[old] = 1 << i
+    rows = []
+    for old in order:
+        row, mask = 0, g._adj[old]
+        while mask:
+            low = mask & -mask
+            row |= place[low.bit_length() - 1]
+            mask ^= low
+        rows.append(row)
+    return Graph._of(rows)
 
 
 def _cert_from(g: Graph, order: Sequence[int]) -> bytes:

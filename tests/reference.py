@@ -73,6 +73,33 @@ def permutations_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def refine_all_cells(adj, cells):
+    """Equitable refinement of the ordered partition cells (bitmasks over
+    the rows adj), each round keying every vertex of a cell by its counts
+    into every cell and ordering the groups by key: the unpruned form of
+    the package's refinement."""
+    # cells: list of bitmasks, ordered; refined until equitable
+    while True:
+        changed = False
+        new_cells = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:  # singleton
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in (v for v in range(cell.bit_length()) if cell >> v & 1):
+                key = tuple((adj[v] & c).bit_count() for c in cells)
+                groups[key] = groups.get(key, 0) | (1 << v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                new_cells.extend(groups[k] for k in sorted(groups))
+        cells = new_cells
+        if not changed:
+            return cells
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 

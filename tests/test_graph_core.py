@@ -1,9 +1,10 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unicon4 import (FormatError, Graph, GraphError, add_edges, add_vertex_with_neighbors,
                      are_isomorphic, canonical_cert, canonical_form, complete_graph,
@@ -97,6 +98,55 @@ class TestMutators:
         induced(g, {0, 1, 2})
         add_vertex_with_neighbors(g, [0])
         assert g.edges() == before
+
+
+class TestMaskBuilt:
+    """The mutators and canonical_form build rows from bitmasks; each must
+    equal the graph built from its edge list, and reject bad input with the
+    edge-list build's message."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got == want and hash(got) == hash(want) and got.edges() == want.edges()
+
+    def test_equal_to_edge_list_builds(self):
+        rng = random.Random(44)
+        for _ in range(200):
+            g = reference.random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
+            edges = g.edges()
+            nbrs = [u for u in range(g.n) if rng.random() < 0.5]
+            self._same(add_vertex_with_neighbors(g, nbrs),
+                       Graph(g.n + 1, edges + [(u, g.n) for u in nbrs]))
+            pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+            extra = rng.sample(pairs, min(len(pairs), rng.randint(0, 5)))
+            self._same(add_edges(g, extra), Graph(g.n, edges + extra))
+            drop = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges if rng.random() < 0.3]
+            dropset = {(min(e), max(e)) for e in drop}
+            self._same(remove_edges(g, drop), Graph(g.n, [e for e in edges if e not in dropset]))
+            v = rng.randrange(g.n)
+            remap = {old: old - (old > v) for old in range(g.n) if old != v}
+            got, got_remap = delete_vertex(g, v)
+            self._same(got, Graph(g.n - 1, [(remap[a], remap[b]) for a, b in edges if v not in (a, b)]))
+            assert got_remap == remap
+            pos = {old: i for i, old in enumerate(graph_core.canonical_labeling(g))}
+            self._same(canonical_form(g), Graph(g.n, [(pos[a], pos[b]) for a, b in edges]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: add_edges(g, [(0, 1), (2, 2)]), "self-loop at vertex 2"),
+        (lambda g: add_edges(g, [(9, 0)]), "edge (0,9) has an endpoint outside 0..5"),
+        (lambda g: add_edges(g, [(-1, 3)]), "edge (-1,3) has an endpoint outside 0..5"),
+        (lambda g: remove_edges(g, [(3, 0)]), "edge (0,3) not in graph"),
+        (lambda g: remove_edges(g, [(0, 6)]), "edge (0,6) not in graph"),
+        (lambda g: remove_edges(g, [(1, 1)]), "edge (1,1) not in graph"),
+        (lambda g: add_vertex_with_neighbors(g, [7, 0]), "neighbor set [0, 7] mentions unknown vertices"),
+        (lambda g: add_vertex_with_neighbors(g, [-1]), "neighbor set [-1] mentions unknown vertices"),
+        (lambda g: delete_vertex(g, 6), "vertex 6 not in graph"),
+    ])
+    def test_bad_input_messages(self, build, message):
+        g = octahedron()
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build(g)
+        assert g == octahedron()
 
 
 class TestFixtures:
@@ -273,6 +323,26 @@ class TestCanonical:
         for p in group:
             assert sorted(p) == list(range(g.n))
             assert relabel(g, dict(enumerate(p))) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=12))
+    @example(square_of_cycle(12))
+    @example(Graph(12, [(i, (i + 1) % 6 + 6 * (i // 6)) for i in range(12)]))
+    def test_refinement_matches_all_cells_reference(self, g):
+        # the root partition, and each child of its first non-singleton
+        # cell, against a refinement keyed by counts into every cell
+        full = (1 << g.n) - 1
+        root = graph_core._refine(g._adj, [full], [full])
+        assert root == reference.refine_all_cells(g._adj, [full])
+        at = next((i for i, c in enumerate(root) if c & (c - 1)), None)
+        if at is None:
+            return
+        cell = root[at]
+        for v in range(g.n):
+            if cell >> v & 1:
+                split = root[:at] + [1 << v, cell ^ (1 << v)] + root[at + 1:]
+                assert (graph_core._refine(g._adj, split, [1 << v])
+                        == reference.refine_all_cells(g._adj, split))
 
     def test_labelings_and_automorphisms_pinned(self):
         # decompose traces follow these vertex orders, not only the
