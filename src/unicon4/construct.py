@@ -1,9 +1,10 @@
 """Executable form of the constructive characterization: breadth-first
 generation of every uniformly 4-connected graph up to a target order by
 compatible expansions of the two base graphs, an independent census oracle
-that grows every candidate isomorphism class one vertex at a time (n <= 9),
-decomposition of any uniformly 4-connected graph back to a base with a
-replayable trace, and the report that compares all three.
+that grows every candidate isomorphism class one vertex at a time, adding
+only vertices of maximum degree and keeping the degree >= 5 vertices a
+forest (n <= 10), decomposition of any uniformly 4-connected graph back to
+a base with a replayable trace, and the report that compares all three.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
-from .connectivity import is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, add_vertex_with_neighbors,
-                         automorphism_group, canonical_cert, canonical_form, canonical_labeling,
-                         delete_vertex, format_graph6, square_of_cycle, _cert_from, _iso_from,
-                         _mask_bits)
+from .connectivity import _components, is_uniformly_4_connected
+from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canonical_cert,
+                         canonical_form, canonical_labeling, delete_vertex, format_graph6,
+                         square_of_cycle, _cert_from, _form_from, _iso_from, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, _attach, _clauses,
                         is_quasi_4_compatible)
 
@@ -291,51 +291,83 @@ def _map_spec(spec: CompatSet, iso: Union[Dict[int, int], Tuple[int, ...]]) -> C
 # -- census oracle ----------------------------------------------------------------
 
 
-def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
-    """Every one-vertex extension of parent that keeps the census bounds.
+def _degree5_forest(rows: Sequence[int]) -> bool:
+    """Whether the vertices of degree >= 5 in the graph with these rows
+    induce a forest: with H their set, edges(H) = |H| - components(H)."""
+    high = 0
+    for v, row in enumerate(rows):
+        if row.bit_count() >= 5:
+            high |= 1 << v
+    edges = sum((rows[v] & high).bit_count() for v in _mask_bits(high)) // 2
+    return edges == high.bit_count() - len(_components(rows, high))
 
-    The new vertex k misses (in G) a set S of at most maxdeg vertices whose
-    complement degree is still below maxdeg, and sees every other vertex.
-    A pair with c common neighbors has local connectivity at least c + 1
-    when adjacent and at least c otherwise, so c may not exceed 3 / 4.  The
-    new vertex is checked against each old vertex, and it must not see both
-    ends of a pair that is already at its bound.
+
+def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
+    """The one-vertex extensions of parent that keep the census bounds and
+    whose new vertex k has maximum degree.
+
+    k misses (in G) a set S of at most maxdeg vertices whose complement
+    degree is still below maxdeg, and sees every other vertex.  Each
+    miss-set is checked on masks, cheapest first, before any graph is
+    built or labeled.  First the degree: k gets degree k - |S| and no old
+    vertex may end above it, so no |S| is tried that an old vertex's
+    degree already exceeds, and an old vertex of degree k - |S| must lie
+    in S.  Then the common neighbors: a pair with c of them has local
+    connectivity at least c + 1 when adjacent and at least c otherwise, so
+    c may not exceed 3 / 4; k must not see both ends of a pair already at
+    that bound, and must keep it with each old vertex.  Last, the vertices
+    of degree >= 5 must still induce a forest (_degree5_forest).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
-    avail = [v for v in range(k) if k - 1 - adj[v].bit_count() < maxdeg]
+    deg = [row.bit_count() for row in adj]
+    avail = [v for v in range(k) if k - 1 - deg[v] < maxdeg]
     tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
              if (adj[a] & adj[b]).bit_count() == (3 if adj[a] >> b & 1 else 4)]
     full = (1 << k) - 1
-    for size in range(min(maxdeg, len(avail)) + 1):
+    for size in range(min(maxdeg, len(avail), k - max(deg)) + 1):
+        top = sum(1 << v for v in range(k) if deg[v] == k - size)
         for miss in itertools.combinations(avail, size):
             new = full
             for v in miss:
                 new ^= 1 << v
+            if new & top:
+                continue
             if any(new & t == t for t in tight):
                 continue
             if any((adj[u] & new).bit_count() > (3 if new >> u & 1 else 4) for u in range(k)):
                 continue
-            yield add_vertex_with_neighbors(parent, _mask_bits(new))
+            rows = [row | 1 << k if new >> u & 1 else row for u, row in enumerate(adj)] + [new]
+            if _degree5_forest(rows):
+                yield Graph._of(rows)
 
 
 def _oracle(n: int) -> Dict[bytes, Graph]:
     """Every uniformly 4-connected graph on n vertices, keyed by certificate.
 
-    Grows the census one isomorphism class at a time.  Minimum degree 4
-    (complement degree at most n - 5) and the common-neighbor bounds of
-    _children are necessary for uniform 4-connectivity, and hereditary:
-    every induced subgraph of a graph that meets them meets them too
-    (complement degrees and common-neighbor counts only grow as vertices
-    are added).  So each class on k + 1 vertices is a child of a class on
-    k vertices, and extending every class of level k by one vertex, then
-    keeping one canonical form per class, gives all of level k + 1.  The
-    classes on n vertices then pass the authoritative uniformity test.
-    Only canonical labeling and the connectivity layer are used; nothing
-    from the expansion machinery is consulted.
+    Grows the census one isomorphism class at a time.  Three bounds are
+    necessary for uniform 4-connectivity: minimum degree 4 (complement
+    degree at most n - 5), the common-neighbor bounds of _children, and
+    Mader's forest: a uniformly 4-connected graph is minimally 4-connected
+    (deleting an edge uv leaves u and v with local connectivity 3), so its
+    vertices of degree >= 5 induce a forest (Mader 1972).  All three are
+    hereditary: complement degrees, common-neighbor counts and the set of
+    degree >= 5 vertices only grow as vertices are added, so every induced
+    subgraph of a graph that meets them meets them too.  Take a graph G on
+    k + 1 vertices that meets them, and a vertex v of maximum degree (a
+    canonical deletion in McKay's sense).  G - v meets the bounds, so its
+    class is in level k, and adding v's neighborhood to that class's
+    canonical form gives a child isomorphic to G: it meets the bounds and
+    its new vertex has maximum degree, so _children keeps it.  So, with one
+    canonical form kept per class, level k + 1 is every class on k + 1
+    vertices that meets the bounds; duplicates reached from different
+    parents collapse there.  The classes on n vertices then pass the
+    authoritative uniformity test.  Only canonical labeling and the
+    connectivity layer are used; nothing from the expansion machinery is
+    consulted.
     """
-    if not 5 <= n <= 9:
-        raise GraphError("the census is supported for 5 <= n <= 9")
+    if not 5 <= n <= 10:
+        raise GraphError("the census is supported for 5 <= n <= 10")
     level = {Graph(1)}
     for _ in range(1, n):
         level = {canonical_form(child) for parent in level for child in _children(parent, n - 5)}
@@ -432,9 +464,13 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     for tag in BASE_TAGS:
         b = base_graph(tag)
         if b.n <= n_max:
-            by_n[b.n][canonical_cert(b)] = canonical_form(b)
+            order = canonical_labeling(b)
+            by_n[b.n][_cert_from(b, order)] = _form_from(b, order)
     budget_hits = 0
     failures: List[Tuple[bytes, str]] = []
+    # the certificate of each labeled output, so that an output several
+    # specs give is labeled once
+    certs: Dict[Graph, bytes] = {}
 
     def outcome(host: Graph, spec: CompatSet) -> Optional[Tuple[bytes, bool]]:
         """None when the spec gives no output, else the output's certificate
@@ -446,18 +482,21 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
         if not is_quasi_4_compatible(host, spec, budget).compatible:
             return None
         out = _attach(reduced, spec)
-        cert = canonical_cert(out)
         uniform = is_uniformly_4_connected(out)[0]
-        if uniform and cert not in by_n[out.n]:
-            by_n[out.n][cert] = canonical_form(out)
+        cert = certs.get(out)
+        if cert is None:
+            order = canonical_labeling(out)
+            cert = certs[out] = _cert_from(out, order)
+            if uniform and cert not in by_n[out.n]:
+                by_n[out.n][cert] = _form_from(out, order)
         return cert, uniform
 
-    for n in range(5, n_max + 1):
+    for n in range(5, n_max):  # a host of order n_max has no spec
         for cert in sorted(by_n[n]):
             host = by_n[n][cert]
             autos = () if _can_truncate(budget, n) else automorphism_group(host)
             known: Dict[CompatSet, Optional[Tuple[bytes, bool]]] = {}
-            specs = itertools.chain(_delta1_specs(host) if n + 1 <= n_max else (),
+            specs = itertools.chain(_delta1_specs(host),
                                     _delta2_specs(host) if n + 2 <= n_max else ())
             for spec in specs:
                 if spec in known:

@@ -9,7 +9,8 @@ import collections
 import itertools
 import random
 
-from unicon4 import Graph
+from unicon4 import (Graph, add_vertex_with_neighbors, canonical_form, format_graph6,
+                     is_uniformly_4_connected)
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -98,6 +99,33 @@ def refine_all_cells(adj, cells):
         cells = new_cells
         if not changed:
             return cells
+
+
+def census_without_pruning(n: int):
+    """Every uniformly 4-connected graph on n vertices, keyed by certificate,
+    grown as the census was before its max-degree and forest rules: every
+    one-vertex extension of every class is built, kept when each vertex
+    misses at most n - 5 others and each pair has at most 3 common
+    neighbors when adjacent (4 when not), and labeled."""
+    level = {Graph(1)}
+    for k in range(1, n):
+        grown = set()
+        for g in level:
+            for size in range(k + 1):
+                for miss in itertools.combinations(range(k), size):
+                    child = add_vertex_with_neighbors(g, [v for v in range(k) if v not in miss])
+                    if _meets_census_bounds(child, n):
+                        grown.add(canonical_form(child))
+        level = grown
+    return {format_graph6(g).encode("ascii"): g for g in level if is_uniformly_4_connected(g)[0]}
+
+
+def _meets_census_bounds(g: Graph, n: int) -> bool:
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    if any(g.n - 1 - len(s) > n - 5 for s in nbrs):
+        return False
+    return all(len(nbrs[u] & nbrs[v]) <= (3 if v in nbrs[u] else 4)
+               for u, v in itertools.combinations(range(g.n), 2))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

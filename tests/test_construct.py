@@ -7,7 +7,7 @@ import pytest
 from unicon4 import (CertMismatch, Graph, GraphError, NotUniform, SearchBudget, StepInvalid,
                      TraceFormatError, base_graph, brute_force_uniform, canonical_cert,
                      complete_graph, decompose, generate_all, generate_catalog,
-                     is_uniformly_4_connected, octahedron, oracle_graphs, replay,
+                     is_uniformly_4_connected, octahedron, octahedron_plus, oracle_graphs, replay,
                      square_of_cycle, trace_from_json, trace_to_json, verify_theorem)
 from unicon4 import chording, connectivity, construct, graph_core, transform
 from unicon4.graph_core import are_isomorphic, format_graph6, relabel
@@ -35,7 +35,7 @@ class TestOracle:
         with pytest.raises(GraphError):
             brute_force_uniform(4)
         with pytest.raises(GraphError):
-            brute_force_uniform(10)
+            brute_force_uniform(11)
 
     def test_census_digests(self):
         # sha256 of the sorted certificates, one per line, as taken from
@@ -114,6 +114,46 @@ class TestOracle:
             if is_uniformly_4_connected(g)[0]:
                 raw.add(canonical_cert(g))
         assert raw == brute_force_uniform(7)
+
+    def test_matches_census_without_pruning(self):
+        # the max-degree rule and the forest test only drop children, so the
+        # census keeps every class, with the same canonical representative
+        for n in range(5, 9):
+            assert construct._oracle(n) == reference.census_without_pruning(n), n
+
+    def test_census_labels_only_pruned_children(self, monkeypatch):
+        # the children of census(8) that pass every mask check, each labeled
+        # once; 1,691 before the max-degree rule and the forest test
+        calls = []
+        real = construct.canonical_form
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(construct, "canonical_form", counting)
+        assert len(brute_force_uniform(8)) == 10
+        assert len(calls) == 385
+
+    def test_degree5_forest(self):
+        def rows(g):
+            return [g.adj_mask(v) for v in range(g.n)]
+
+        def union(g, h):
+            return Graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+        for n in range(5, 10):
+            for g in oracle_graphs(n):
+                assert construct._degree5_forest(rows(g)), format_graph6(g)
+        assert not construct._degree5_forest(rows(complete_graph(6)))
+        assert not construct._degree5_forest(rows(complete_graph(7)))
+        # the two degree-5 vertices share a single edge
+        assert construct._degree5_forest(rows(octahedron_plus()))
+        # no vertex of degree 5
+        assert construct._degree5_forest(rows(octahedron()))
+        # two components: two single edges, then a single edge and a K6
+        assert construct._degree5_forest(rows(union(octahedron_plus(), octahedron_plus())))
+        assert not construct._degree5_forest(rows(union(octahedron_plus(), complete_graph(6))))
 
     def test_oracle_never_touches_expansion_machinery(self, monkeypatch):
         def boom(*a, **k):
@@ -203,6 +243,20 @@ class TestGenerate:
         assert canonical_cert(replay(decompose(g))) == canonical_cert(g)
         assert calls == []
 
+    def test_each_output_is_labeled_once(self, monkeypatch):
+        # one search per base, per host automorphism group and per distinct
+        # labeled output: 62 when every output was labeled twice
+        calls = []
+        real = graph_core._CanonSearch.run
+
+        def counting(search):
+            calls.append(search)
+            return real(search)
+
+        monkeypatch.setattr(graph_core._CanonSearch, "run", counting)
+        cat = generate_catalog(8)
+        assert len(cat.certs_by_n[8]) == 8
+        assert len(calls) == 35
 
     def test_local_connectivity_counts_before_it_flows(self, monkeypatch):
         # the edge, the common neighbours and the degree cap settle most
