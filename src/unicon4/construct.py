@@ -1,10 +1,12 @@
 """Executable form of the constructive characterization: breadth-first
-generation of every uniformly 4-connected graph up to a target order by
-compatible expansions of the two base graphs, an independent census oracle
-that grows every candidate isomorphism class one vertex at a time, adding
-only vertices of maximum degree and keeping the degree >= 5 vertices a
-forest (n <= 10), decomposition of any uniformly 4-connected graph back to
-a base with a replayable trace, and the report that compares all three.
+generation of every uniformly 4-connected graph up to a target order
+(n <= 10) by compatible expansions of the two base graphs, checking one
+spec per orbit of each host's automorphism group on integer spec keys; an
+independent census oracle that grows every candidate isomorphism class one
+vertex at a time, adding only vertices of maximum degree and keeping the
+degree >= 5 vertices a forest (n <= 10); decomposition of any uniformly
+4-connected graph back to a base with a replayable trace; and the report
+that compares all three.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .connectivity import _components, is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canonical_cert,
                          canonical_form, canonical_labeling, delete_vertex, format_graph6,
                          square_of_cycle, _cert_from, _form_from, _iso_from, _mask_bits)
-from .transform import (CompatSet, Delta1Spec, Delta2Spec, SpecInvalid, _attach, _clauses,
-                        is_quasi_4_compatible)
+from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
+                        _clauses, is_quasi_4_compatible)
 
 TRACE_SCHEMA = "unicon4.trace/v1"
 
@@ -404,41 +406,103 @@ class GenerationResult:
         return frozenset(out)
 
 
-def _triples(h: Graph) -> Iterator[Tuple[Tuple[int, int, int], List[tuple]]]:
-    """Each 3-set holding a host edge, with its nonempty sets of inside
-    edges, smallest first: the removal choices of one side of a spec."""
-    for xs in itertools.combinations(range(h.n), 3):
+# A spec's key is a tuple of integers that names it exactly.  A side (a
+# 3-set with the inside edges it removes) is keyed by its vertex mask and
+# its edge mask, with the host edge ab, a < b, as bit a * n + b.  A delta-1
+# key is (x mask, 1 << y, ex mask); a delta-2 key is its two side keys,
+# ordered by side mask.  A raw spec is (side, y) or (side, side), a side
+# being (3-set, edges, edge bits); a spec object is built from it only when
+# the spec is checked.
+
+Side = Tuple[Tuple[int, int, int], Tuple[Pair, ...], Tuple[int, ...]]
+SideKey = Tuple[int, int]
+
+
+def _triples(h: Graph) -> List[Tuple[int, List[Tuple[Side, SideKey]]]]:
+    """Each 3-set holding a host edge, as its vertex mask with the sides of
+    its nonempty sets of inside edges, smallest first, and their keys: the
+    removal choices of one side of a spec."""
+    n = h.n
+    table = []
+    for xs in itertools.combinations(range(n), 3):
         inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
         if inside:
-            yield xs, [s for r in range(1, len(inside) + 1) for s in itertools.combinations(inside, r)]
+            xm = (1 << xs[0]) | (1 << xs[1]) | (1 << xs[2])
+            sides = []
+            for r in range(1, len(inside) + 1):
+                for exs in itertools.combinations(inside, r):
+                    bits = tuple(a * n + b for a, b in exs)
+                    sides.append(((xs, exs, bits), (xm, sum(1 << i for i in bits))))
+            table.append((xm, sides))
+    return table
+
+
+def _keyed_specs(h: Graph, delta1: bool = True, delta2: bool = True) -> Iterator[tuple]:
+    """Every spec on h as (key, raw spec): the delta-1 specs, then the
+    delta-2 specs, each in enumeration order."""
+    table = _triples(h)
+    if delta1:
+        for xm, sides in table:
+            for side, (_, em) in sides:
+                for y in range(h.n):
+                    if not xm >> y & 1:
+                        yield (xm, 1 << y, em), (side, y)
+    if delta2:
+        # unordered pairs of distinct 3-sets, which share at most 2 vertices:
+        # swapping the two sides relabels the two new vertices
+        for i, (xm, xsides) in enumerate(table):
+            for ym, ysides in table[i + 1:]:
+                for sx, kx in xsides:
+                    for sy, ky in ysides:
+                        yield ((kx, ky) if xm < ym else (ky, kx)), (sx, sy)
+
+
+def _spec(raw: tuple) -> CompatSet:
+    side, other = raw
+    if type(other) is int:
+        return Delta1Spec(side[0], other, side[1])
+    return Delta2Spec(side[0], other[0], side[1], other[1])
 
 
 def _delta1_specs(h: Graph) -> Iterator[Delta1Spec]:
-    for xs, subsets in _triples(h):
-        for exs in subsets:
-            for y in range(h.n):
-                if y not in xs:
-                    yield Delta1Spec(xs, y, exs)
+    return (_spec(raw) for _, raw in _keyed_specs(h, delta2=False))
 
 
 def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
-    table = list(_triples(h))
-    # unordered pairs of distinct 3-sets, which share at most 2 vertices:
-    # swapping the two sides relabels the two new vertices
-    for i, (xs, xsubs) in enumerate(table):
-        for ys, ysubs in table[i + 1:]:
-            for exs in xsubs:
-                for eys in ysubs:
-                    yield Delta2Spec(xs, ys, exs, eys)
+    return (_spec(raw) for _, raw in _keyed_specs(h, delta1=False))
 
 
-def _image(spec: CompatSet, perm: Tuple[int, ...]) -> CompatSet:
-    """The spec moved by a host automorphism, in the form the enumeration
-    yields: a delta-2 image whose x_set sorts after its y_set swaps sides."""
-    moved = _map_spec(spec, perm)
-    if isinstance(moved, Delta2Spec) and moved.x_set > moved.y_set:
-        return Delta2Spec(moved.y_set, moved.x_set, moved.ey_edges, moved.ex_edges)
-    return moved
+def _key_tables(h: Graph) -> List[Tuple[Tuple[int, ...], List[int]]]:
+    """For each automorphism p of h, the bit of p(v) by vertex v and the bit
+    of the edge p(a)p(b) by the bit a * n + b of each host edge ab."""
+    n = h.n
+    edges = h.edges()
+    tables = []
+    for p in automorphism_group(h):
+        pair = [0] * (n * n)
+        for a, b in edges:
+            c, d = p[a], p[b]
+            pair[a * n + b] = 1 << (c * n + d if c < d else d * n + c)
+        tables.append((tuple(1 << v for v in p), pair))
+    return tables
+
+
+def _side_image(side: Side, vbit: Tuple[int, ...], pbit: List[int]) -> SideKey:
+    (a, b, c), _, bits = side
+    em = 0
+    for i in bits:
+        em |= pbit[i]
+    return vbit[a] | vbit[b] | vbit[c], em
+
+
+def _key_image(raw: tuple, vbit: Tuple[int, ...], pbit: List[int]) -> tuple:
+    """The key of the raw spec's image under one automorphism's tables."""
+    side, other = raw
+    kx = _side_image(side, vbit, pbit)
+    if type(other) is int:
+        return kx[0], vbit[other], kx[1]
+    ky = _side_image(other, vbit, pbit)
+    return (kx, ky) if kx < ky else (ky, kx)
 
 
 def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> GenerationResult:
@@ -448,18 +512,25 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     An automorphism maps the reduced host of a spec isomorphically onto the
     reduced host of the image spec, so the clauses, every complete path
     sweep, the output's certificate and its uniformity agree across the
-    orbit.  The delta-2 clauses and compatibility conditions are symmetric
-    in the two sides, so an image with its sides swapped back into
-    enumeration order has the same outcome.  A sweep the budget truncates
-    keeps the first max_paths paths in label order, which an automorphism
-    does not preserve; so the outcome is reused only when no sweep on the
-    host can be truncated (max_len None or at least the host order, and
-    max_paths at least the path count of the complete graph on that many
-    vertices), and otherwise every spec is checked on its own.  Soundness
-    failures are still reported once per failing spec, in enumeration order.
+    orbit.  Specs are enumerated with integer keys (described above
+    _triples), and a spec object is built only for the first spec of each
+    orbit, to be checked; the key of each of its images is a few ORs
+    through the automorphism's vertex-bit and edge-bit tables (_key_tables),
+    and every image key is mapped to the outcome.  A delta-2 key is the
+    unordered pair of its side keys.  That is exact: the delta-2 clauses
+    and compatibility conditions are symmetric in the two sides, and
+    swapping the sides only swaps the labels of the two new vertices, so
+    both orders of a pair have the same outcome.  A sweep the budget
+    truncates keeps the first max_paths paths in label order, which an
+    automorphism does not preserve; so the outcome is reused only when no
+    sweep on the host can be truncated (max_len None or at least the host
+    order, and max_paths at least the path count of the complete graph on
+    that many vertices), and otherwise every spec is checked on its own.
+    Soundness failures are still reported once per failing spec, in
+    enumeration order.
     """
-    if not 5 <= n_max <= 9:
-        raise GraphError("generation is supported for 5 <= n_max <= 9")
+    if not 5 <= n_max <= 10:
+        raise GraphError("generation is supported for 5 <= n_max <= 10")
     by_n: Dict[int, Dict[bytes, Graph]] = {n: {} for n in range(5, n_max + 1)}
     for tag in BASE_TAGS:
         b = base_graph(tag)
@@ -494,23 +565,21 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     for n in range(5, n_max):  # a host of order n_max has no spec
         for cert in sorted(by_n[n]):
             host = by_n[n][cert]
-            autos = () if _can_truncate(budget, n) else automorphism_group(host)
-            known: Dict[CompatSet, Optional[Tuple[bytes, bool]]] = {}
-            specs = itertools.chain(_delta1_specs(host),
-                                    _delta2_specs(host) if n + 2 <= n_max else ())
-            for spec in specs:
-                if spec in known:
-                    result = known[spec]
+            tables = () if _can_truncate(budget, n) else _key_tables(host)
+            known: Dict[tuple, Optional[Tuple[bytes, bool]]] = {}
+            for key, raw in _keyed_specs(host, delta2=n + 2 <= n_max):
+                if key in known:
+                    result = known[key]
                 else:
                     try:
-                        result = outcome(host, spec)
+                        result = outcome(host, _spec(raw))
                     except BudgetExceeded:
                         budget_hits += 1
                         continue
-                    for perm in autos:
-                        known[_image(spec, perm)] = result
+                    for vbit, pbit in tables:
+                        known[_key_image(raw, vbit, pbit)] = result
                 if result is not None and not result[1]:
-                    failures.append((result[0], repr(spec)))
+                    failures.append((result[0], repr(_spec(raw))))
 
     reps: Dict[bytes, Graph] = {}
     for n in range(5, n_max + 1):

@@ -9,8 +9,8 @@ import collections
 import itertools
 import random
 
-from unicon4 import (Graph, add_vertex_with_neighbors, canonical_form, format_graph6,
-                     is_uniformly_4_connected)
+from unicon4 import (Delta1Spec, Delta2Spec, Graph, add_vertex_with_neighbors, canonical_form,
+                     format_graph6, is_uniformly_4_connected)
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -160,3 +160,19 @@ def separated_by_3set(g: Graph, x: int, y: int) -> bool:
                 and sizes[comp[x]] >= 2 and sizes[comp[y]] >= 2):
             return True
     return False
+
+
+def spec_image(spec, perm):
+    """The spec moved by the vertex permutation perm, as a spec object, in
+    the form an enumeration over sorted 3-sets yields: a delta-2 image whose
+    x_set sorts after its y_set has its two sides swapped."""
+    def moved(edges):
+        return [(perm[a], perm[b]) for a, b in edges]
+
+    xs = [perm[v] for v in spec.x_set]
+    if isinstance(spec, Delta1Spec):
+        return Delta1Spec(xs, perm[spec.y_vertex], moved(spec.ex_edges))
+    ys = [perm[v] for v in spec.y_set]
+    if sorted(xs) > sorted(ys):
+        return Delta2Spec(ys, xs, moved(spec.ey_edges), moved(spec.ex_edges))
+    return Delta2Spec(xs, ys, moved(spec.ex_edges), moved(spec.ey_edges))

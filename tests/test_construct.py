@@ -195,7 +195,7 @@ class TestGenerate:
         with pytest.raises(GraphError):
             generate_all(4)
         with pytest.raises(GraphError):
-            generate_all(10)
+            generate_all(11)
 
     def test_budget_exhaustion_flags_partial_result(self):
         # cold, and after a default run has filled the verdict cache: a
@@ -317,9 +317,55 @@ class TestGenerate:
         # the 8,703 specs of the six hosts fall into 333 orbits under the
         # hosts' automorphism groups; 3,921 specs pass their clauses
         assert len(checked) <= 333
-        orbits = {(h, frozenset(construct._image(spec, p) for p in graph_core.automorphism_group(h)))
+        orbits = {(h, frozenset(reference.spec_image(spec, p) for p in graph_core.automorphism_group(h)))
                   for h, spec in checked}
         assert len(orbits) == len(checked)
+
+    def test_only_orbit_representatives_become_spec_objects(self, monkeypatch):
+        # one spec object per orbit of the 8,703 specs of a cold n = 8 closure
+        built = []
+        for name in ("Delta1Spec", "Delta2Spec"):
+            def counting(*args, cls=getattr(construct, name)):
+                spec = cls(*args)
+                built.append(spec)
+                return spec
+
+            monkeypatch.setattr(construct, name, counting)
+        cat = generate_catalog(8)
+        assert cat.complete and not cat.soundness_failures
+        assert len(built) == 333
+
+    def test_spec_keys_match_the_reference_orbits(self):
+        # on every host of the n = 8 closure, three n = 8 hosts of closure(9),
+        # C9^2 (a host of closure(10)) and three fixed hosts: each enumerated
+        # spec has its own key, and imaging keys through the automorphism
+        # tables gives the orbits that imaging spec objects does
+        cat = generate_catalog(8)
+        hosts = [cat.representatives[c] for n in (5, 6, 7, 8)
+                 for c in sorted(cat.certs_by_n[n])[:None if n < 8 else 3]]
+        hosts += [square_of_cycle(9), complete_graph(5), octahedron(), octahedron_plus()]
+        for h in hosts:
+            keyed = list(construct._keyed_specs(h))
+            specs = [construct._spec(raw) for _, raw in keyed]
+            by_key = {key: i for i, (key, _) in enumerate(keyed)}
+            by_spec = {spec: i for i, spec in enumerate(specs)}
+            assert len(by_key) == len(by_spec) == len(specs)
+            tables = construct._key_tables(h)
+            perms = graph_core.automorphism_group(h)
+            key_orbits, spec_orbits = set(), set()
+            key_seen, spec_seen = set(), set()
+            for i, (_, raw) in enumerate(keyed):
+                if i not in key_seen:
+                    images = {construct._key_image(raw, *t) for t in tables}
+                    assert images <= by_key.keys(), images - by_key.keys()
+                    orbit = frozenset(by_key[key] for key in images)
+                    key_orbits.add(orbit)
+                    key_seen |= orbit
+                if i not in spec_seen:
+                    orbit = frozenset(by_spec[reference.spec_image(specs[i], p)] for p in perms)
+                    spec_orbits.add(orbit)
+                    spec_seen |= orbit
+            assert key_orbits == spec_orbits, format_graph6(h)
 
     def test_truncating_budget_checks_every_spec(self, monkeypatch):
         # a truncated sweep keeps the first paths in label order, which an
