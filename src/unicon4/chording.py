@@ -325,7 +325,7 @@ def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> Optiona
         if not (alive >> a & 1) or not (alive >> b & 1):
             continue
         if _local_conn(adj2, x, y, 3, alive, j > i + 1) >= 3:
-            return _witness(Graph(g.n, list(g.edges()) + [e]), p, i, j)
+            return _witness(Graph._of(adj2), p, i, j)
     return None
 
 

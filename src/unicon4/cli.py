@@ -60,8 +60,11 @@ def _load_graph(path: str, fmt: Optional[str]) -> Graph:
     raise FormatError(f"unknown input format {fmt!r}")
 
 
-def _emit(payload: dict, human: bool) -> None:
-    if human:
+def _emit(args, fields: dict) -> None:
+    """Print one report: the command's own fields under the schema and
+    command name that every report, success or error, carries."""
+    payload = {"schema": SCHEMA, "command": args.cmd, **fields}
+    if args.human:
         for line in _human_lines(payload):
             print(line)
     else:
@@ -128,7 +131,6 @@ def _cmd_analyze(args) -> Tuple[dict, int]:
     rep = connectivity_report(g)
     locs = [rep.local[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
     payload = {
-        "schema": SCHEMA, "command": "analyze",
         "n": g.n, "m": g.edge_count,
         "kappa": rep.kappa,
         "local_min": min(locs) if locs else None,
@@ -149,8 +151,7 @@ def _cmd_removable(args) -> Tuple[dict, int]:
     for x, y in g.edges():
         rows.append({"edge": [x, y], "removable": _removable(g, x, y),
                      "structural": not _separated(g, x, y) if g.n >= 7 else None})
-    payload = {"schema": SCHEMA, "command": "removable",
-               "edges": rows, "removable_count": sum(r["removable"] for r in rows)}
+    payload = {"edges": rows, "removable_count": sum(r["removable"] for r in rows)}
     return payload, OK
 
 
@@ -160,8 +161,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     if len(e) != 2:
         raise FormatError("--edge takes exactly two vertices, e.g. 0,1")
     h, idmap = reduce_edge(g, (e[0], e[1]))
-    payload = {"schema": SCHEMA, "command": "reduce",
-               "edge": sorted(e), "result_graph6": format_graph6(h),
+    payload = {"edge": sorted(e), "result_graph6": format_graph6(h),
                "result_n": h.n, "id_map": {str(k): v for k, v in sorted(idmap.items())}}
     _write(args, payload, format_graph6(h) + "\n")
     return payload, OK
@@ -183,7 +183,7 @@ def _cmd_apply(args) -> Tuple[dict, int]:
     else:
         raise FormatError(f"unknown operation {args.op!r}")
     reduced = _validated(g, spec)  # before any verdict: an invalid spec exits 2, naming its clause
-    payload = {"schema": SCHEMA, "command": "apply", "op": args.op}
+    payload = {"op": args.op}
     if args.check_compat:
         rep = is_quasi_4_compatible(g, spec, _budget(args))
         payload["compatible"] = rep.compatible
@@ -204,11 +204,9 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
     try:
         trace = decompose(g)
     except NotUniform:
-        return ({"schema": SCHEMA, "command": "decompose",
-                 "uniform4": False, "trace": None}, VERDICT_FALSE)
+        return {"uniform4": False, "trace": None}, VERDICT_FALSE
     text = trace_to_json(trace)
-    payload = {"schema": SCHEMA, "command": "decompose",
-               "uniform4": True, "base": trace.base, "steps": len(trace.steps),
+    payload = {"uniform4": True, "base": trace.base, "steps": len(trace.steps),
                "trace": json.loads(text)}
     _write(args, payload, text + "\n")
     return payload, OK
@@ -217,8 +215,7 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
 def _cmd_replay(args) -> Tuple[dict, int]:
     trace = trace_from_json(_read(args.trace))
     g = replay(trace, _budget(args), check_compat=not args.skip_compat)
-    payload = {"schema": SCHEMA, "command": "replay",
-               "base": trace.base, "steps": len(trace.steps),
+    payload = {"base": trace.base, "steps": len(trace.steps),
                "result_graph6": format_graph6(g), "result_n": g.n,
                # replay checked each step's certificate against its output
                "result_cert": (trace.steps[-1].post_cert if trace.steps
@@ -228,7 +225,7 @@ def _cmd_replay(args) -> Tuple[dict, int]:
 
 def _cmd_gen(args) -> Tuple[dict, int]:
     cat = generate_catalog(args.max_n, _budget(args))
-    payload = {"schema": SCHEMA, "command": "gen", "max_n": args.max_n,
+    payload = {"max_n": args.max_n,
                "counts_by_n": {str(n): len(c) for n, c in sorted(cat.certs_by_n.items())},
                "certs_by_n": {str(n): sorted(c.decode("ascii") for c in certs)
                               for n, certs in sorted(cat.certs_by_n.items())},
@@ -238,7 +235,7 @@ def _cmd_gen(args) -> Tuple[dict, int]:
 
 def _cmd_verify(args) -> Tuple[dict, int]:
     rep = verify_theorem(args.max_n, _budget(args))
-    payload = {"schema": SCHEMA, "command": "verify", "max_n": args.max_n,
+    payload = {"max_n": args.max_n,
                "oracle_counts": {str(n): len(c) for n, c in sorted(rep.oracle_by_n.items())},
                "generated_counts": {str(n): len(c) for n, c in sorted(rep.generated_by_n.items())},
                "only_oracle": {str(n): sorted(c.decode("ascii") for c in certs)
@@ -263,7 +260,7 @@ def _cmd_convert(args) -> Tuple[dict, int]:
         text = to_dot(g)
     else:
         raise FormatError(f"unknown output format {args.to!r}")
-    payload = {"schema": SCHEMA, "command": "convert", "to": args.to, "output": text}
+    payload = {"to": args.to, "output": text}
     _write(args, payload, text)
     return payload, OK
 
@@ -355,15 +352,13 @@ def main(argv=None) -> int:
     try:
         payload, code = _COMMANDS[args.cmd][0](args)
     except BudgetExceeded as exc:
-        _emit({"schema": SCHEMA, "command": args.cmd, "error": "budget-exceeded",
-               "message": str(exc)}, args.human)
+        _emit(args, {"error": "budget-exceeded", "message": str(exc)})
         return BUDGET
     except (FormatError, TraceFormatError, SpecInvalid, StepInvalid, CertMismatch,
             DecompositionError, GraphError) as exc:
-        _emit({"schema": SCHEMA, "command": args.cmd, "error": type(exc).__name__,
-               "message": str(exc)}, args.human)
+        _emit(args, {"error": type(exc).__name__, "message": str(exc)})
         return INPUT_ERROR
-    _emit(payload, args.human)
+    _emit(args, payload)
     return code
 
 

@@ -405,18 +405,6 @@ def minimum_cuts(g: Graph) -> List[frozenset]:
     return [cut for cut, _ in _cuts_of_size(g, vertex_connectivity(g))]
 
 
-def _fragments(cut: frozenset, comps: List[int]) -> List[Fragment]:
-    out = []
-    for r in range(1, len(comps)):
-        for pick in itertools.combinations(comps, r):
-            body = 0
-            for m in pick:
-                body |= m
-            out.append(Fragment(cut, frozenset(_mask_bits(body))))
-    out.sort(key=lambda f: sorted(f.body))
-    return out
-
-
 def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
     """All unions of some but not all components of g - cut."""
     kappa = vertex_connectivity(g)
@@ -428,7 +416,15 @@ def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
     comps = _components(g._adj, alive)
     if len(comps) < 2:
         raise GraphError("given set is not a vertex cut")
-    return _fragments(cut, comps)
+    out = []
+    for r in range(1, len(comps)):
+        for pick in itertools.combinations(comps, r):
+            body = 0
+            for m in pick:
+                body |= m
+            out.append(Fragment(cut, frozenset(_mask_bits(body))))
+    out.sort(key=lambda f: sorted(f.body))
+    return out
 
 
 def ends(g: Graph) -> List[End]:
@@ -439,17 +435,15 @@ def ends(g: Graph) -> List[End]:
 
 
 def _ends(g: Graph, kappa: int) -> List[End]:
-    """The ends of a non-complete g whose connectivity kappa is known."""
-    frags = []
-    for cut, comps in _cuts_of_size(g, kappa):
-        frags.extend(_fragments(cut, comps))
-    bodies = {f.body for f in frags}
-    minimal = [b for b in bodies if not any(o < b for o in bodies)]
-    out = []
-    for body in sorted(minimal, key=sorted):
-        holder = min((f for f in frags if f.body == body), key=lambda f: sorted(f.cut))
-        out.append(End(holder))
-    return out
+    """The ends of a non-complete g whose connectivity kappa is known.
+
+    Every fragment holds a single component of its cut, which is itself a
+    fragment, so the minimal fragments are the minimal single components.
+    A component's neighbourhood lies in its cut and already separates it
+    from the other components, so it is the whole cut: each end has one."""
+    holder = {comp: cut for cut, comps in _cuts_of_size(g, kappa) for comp in comps}
+    minimal = [b for b in holder if not any(o & b == o and o != b for o in holder)]
+    return [End(Fragment(holder[b], frozenset(_mask_bits(b)))) for b in sorted(minimal, key=_mask_bits)]
 
 
 def connectivity_report(g: Graph) -> ConnectivityReport:

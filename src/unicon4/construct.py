@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canonical_cert,
-                         canonical_form, canonical_labeling, delete_vertex, format_graph6,
+                         canonical_form, canonical_labeling, format_graph6,
                          square_of_cycle, _cert_from, _form_from, _iso_from, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
                         _clauses, is_quasi_4_compatible)
@@ -194,14 +194,8 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
             missing_x = [e for e in itertools.combinations(xset, 2) if not g.has_edge(*e)]
             if not missing_x:
                 continue
-            if g.degree(y) >= 5:
-                core, remap = delete_vertex(g, x)
-                mx = tuple(sorted((remap[a], remap[b]) for a, b in missing_x))
-                my = remap[y]
-                mxs = tuple(remap[a] for a in xset)
-                for exs in _subsets_largest_first(mx):
-                    host = add_edges(core, exs)
-                    yield "delta1", host, Delta1Spec(mxs, my, exs)
+            if g.degree(y) >= 5:  # y stays in the host as the attachment vertex
+                gone, yset, missing_y = (x,), (), []
             elif y > x:
                 yset = tuple(sorted(set(g.neighbors(y)) - {x}))
                 if len(set(xset) & set(yset)) > 2:
@@ -209,17 +203,22 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
                 missing_y = [e for e in itertools.combinations(yset, 2) if not g.has_edge(*e)]
                 if not missing_y:
                     continue
-                core1, rm1 = delete_vertex(g, x)
-                core, rm2 = delete_vertex(core1, rm1[y])
-                remap = {v: rm2[rm1[v]] for v in range(g.n) if v not in (x, y)}
-                mx = tuple(sorted((remap[a], remap[b]) for a, b in missing_x))
-                my = tuple(sorted((remap[a], remap[b]) for a, b in missing_y))
-                mxs = tuple(remap[a] for a in xset)
-                mys = tuple(remap[a] for a in yset)
-                for exs in _subsets_largest_first(mx):
-                    for eys in _subsets_largest_first(my):
-                        host = add_edges(core, set(exs) | set(eys))
-                        yield "delta2", host, Delta2Spec(mxs, mys, exs, eys)
+                gone = (x, y)
+            else:
+                continue
+            keep = [v for v in range(g.n) if v not in gone]
+            core = _form_from(g, keep)
+            remap = {old: new for new, old in enumerate(keep)}
+            mx, my = (tuple(sorted((remap[a], remap[b]) for a, b in m)) for m in (missing_x, missing_y))
+            mxs = tuple(remap[a] for a in xset)
+            mys = tuple(remap[a] for a in yset)
+            for exs, eys in itertools.product(_subsets_largest_first(mx),
+                                              _subsets_largest_first(my) if yset else [()]):
+                host = add_edges(core, exs + eys)
+                if yset:
+                    yield "delta2", host, Delta2Spec(mxs, mys, exs, eys)
+                else:
+                    yield "delta1", host, Delta1Spec(mxs, remap[y], exs)
 
 
 def _subsets_largest_first(edges: Tuple) -> Iterator[Tuple]:

@@ -153,10 +153,7 @@ def delete_vertex(g: Graph, v: int) -> Tuple[Graph, Dict[int, int]]:
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} not in graph")
     keep = [u for u in range(g.n) if u != v]
-    remap = {old: new for new, old in enumerate(keep)}
-    low = (1 << v) - 1
-    # bits below v stay, bits above it move down one place
-    return Graph._of([g._adj[u] & low | g._adj[u] >> (v + 1) << v for u in keep]), remap
+    return _form_from(g, keep), {old: new for new, old in enumerate(keep)}
 
 
 def induced(g: Graph, verts: Iterable[int]) -> Graph:
@@ -164,9 +161,7 @@ def induced(g: Graph, verts: Iterable[int]) -> Graph:
     keep = sorted(set(verts))
     if not keep or keep[0] < 0 or keep[-1] >= g.n:
         raise GraphError(f"vertex set {keep} invalid for graph on {g.n} vertices")
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = [(remap[a], remap[b]) for a, b in g.edges() if a in remap and b in remap]
-    return Graph(len(keep), edges)
+    return _form_from(g, keep)
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -465,7 +460,10 @@ def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _form_from(g: Graph, order: Sequence[int]) -> Graph:
-    place = [0] * g.n  # old id -> its bit at the new position
+    """The graph whose vertex i is g's vertex order[i], for distinct ids.
+    A vertex left out of order drops out with its edges, so this one call
+    relabels, deletes vertices or takes an induced subgraph, from the rows."""
+    place = [0] * g.n  # old id -> its bit at the new position, 0 when dropped
     for i, old in enumerate(order):
         place[old] = 1 << i
     rows = []
@@ -520,4 +518,4 @@ def _iso_from(g: Graph, h: Graph, g_order: Sequence[int],
 def relabel(g: Graph, mapping: Dict[int, int]) -> Graph:
     if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(g.n)):
         raise GraphError("relabeling must be a permutation of the vertex ids")
-    return Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
+    return _form_from(g, sorted(mapping, key=mapping.get))  # old ids by new id

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
 from .connectivity import _components, _ends, _flow_paths, _kappa, is_k_connected
-from .graph_core import Graph, GraphError, add_vertex_with_neighbors, remove_edges
+from .graph_core import (Graph, GraphError, _form_from, _mask_bits, add_vertex_with_neighbors,
+                         remove_edges)
 
 Pair = Tuple[int, int]
 
@@ -124,23 +125,21 @@ def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
 
 def _reduce(g: Graph, x: int, y: int) -> Tuple[Graph, Dict[int, int]]:
     """reduce_edge for an edge x < y of a graph known to be 4-connected."""
-    nbrs = {v: set(g.neighbors(v)) for v in range(g.n)}
-    nbrs[x].discard(y)
-    nbrs[y].discard(x)
+    adj = list(g._adj)
+    adj[x] &= ~(1 << y)
+    adj[y] &= ~(1 << x)
+    gone = 0
     for w in (x, y):
-        if len(nbrs[w]) != 3:
+        hood = adj[w]
+        if hood.bit_count() != 3:
             continue
-        hood = sorted(nbrs[w])
-        for v in hood:
-            nbrs[v].discard(w)
-        del nbrs[w]
-        for a, b in itertools.combinations(hood, 2):
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-    keep = sorted(nbrs)
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = {(remap[a], remap[b]) for a in keep for b in nbrs[a] if a < b}
-    return Graph(len(keep), edges), remap
+        # xy is gone, so completing x's neighbourhood leaves y's degree alone;
+        # the rows still name a deleted endpoint, which _form_from drops
+        for v in _mask_bits(hood):
+            adj[v] |= hood & ~(1 << v)
+        gone |= 1 << w
+    keep = [v for v in range(g.n) if not gone >> v & 1]
+    return _form_from(Graph._of(adj), keep), {old: new for new, old in enumerate(keep)}
 
 
 def _removable(g: Graph, x: int, y: int) -> bool:

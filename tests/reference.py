@@ -176,3 +176,65 @@ def spec_image(spec, perm):
     if sorted(xs) > sorted(ys):
         return Delta2Spec(ys, xs, moved(spec.ey_edges), moved(spec.ex_edges))
     return Delta2Spec(xs, ys, moved(spec.ex_edges), moved(spec.ey_edges))
+
+
+def reduce_by_sets(g: Graph, x: int, y: int):
+    """The edge reduction of xy on neighbour sets: delete the edge, then
+    delete each endpoint left with degree 3, x first, completing its
+    neighbourhood into a clique; returns the graph rebuilt from its edge
+    list with dense ids, and the old-to-new map of the kept vertices."""
+    nbrs = {v: set(g.neighbors(v)) for v in range(g.n)}
+    nbrs[x].discard(y)
+    nbrs[y].discard(x)
+    for w in (x, y):
+        if len(nbrs[w]) != 3:
+            continue
+        hood = sorted(nbrs[w])
+        for v in hood:
+            nbrs[v].discard(w)
+        del nbrs[w]
+        for a, b in itertools.combinations(hood, 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    keep = sorted(nbrs)
+    remap = {old: new for new, old in enumerate(keep)}
+    edges = {(remap[a], remap[b]) for a in keep for b in nbrs[a] if a < b}
+    return Graph(len(keep), edges), remap
+
+
+def _components_without(g: Graph, cut) -> list:
+    """The vertex sets of the components of g - cut, by depth-first search."""
+    comps, seen = [], set(cut)
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp, stack = {root}, [root]
+        while stack:
+            for b in g.neighbors(stack.pop()):
+                if b not in seen and b not in comp:
+                    comp.add(b)
+                    stack.append(b)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def ends_by_definition(g: Graph):
+    """The ends of a non-complete g as (sorted body, sorted cut) pairs, sorted:
+    over every vertex cut of the least size that has one, each union of
+    some but not all components of g minus the cut is a fragment; the ends
+    are the fragments whose body holds no other fragment's body, each with
+    the least cut, in lexicographic order, that has it."""
+    for size in range(g.n):
+        cuts = [(cut, comps) for cut in itertools.combinations(range(g.n), size)
+                if len(comps := _components_without(g, cut)) > 1]
+        if cuts:
+            break
+    holders = {}
+    for cut, comps in cuts:
+        for r in range(1, len(comps)):
+            for pick in itertools.combinations(comps, r):
+                body = frozenset().union(*pick)
+                holders[body] = min(holders.get(body, cut), cut)
+    return sorted((sorted(body), list(cut)) for body, cut in holders.items()
+                  if not any(other < body for other in holders))

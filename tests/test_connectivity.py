@@ -390,6 +390,25 @@ class TestCutsFragmentsEnds:
         got = sorted(sorted(e.fragment.body) for e in ends(two_k5_share_4()))
         assert got == [[0], [5]]
 
+    def test_ends_match_the_definition(self):
+        # seeded random graphs of each connectivity 1..3, then the fixtures
+        rng = random.Random(67)
+        pool, by_kappa = [], {1: 0, 2: 0, 3: 0}
+        while min(by_kappa.values()) < 15:
+            g = reference.random_graph(rng, rng.randint(5, 10), rng.choice([0.3, 0.5, 0.7]))
+            kappa = vertex_connectivity(g)
+            if by_kappa.get(kappa, 15) < 15:
+                by_kappa[kappa] += 1
+                pool.append(g)
+        pool += [octahedron(), octahedron_plus(), k6_minus_edge(), two_k5_share_4()]
+        pool += [square_of_cycle(n) for n in range(7, 11)]
+        for g in pool:
+            got = [(sorted(e.fragment.body), sorted(e.fragment.cut)) for e in ends(g)]
+            assert got == reference.ends_by_definition(g), g.edges()
+            # an end's one cut is the neighbourhood of its body
+            for body, cut in got:
+                assert set(cut) == {w for v in body for w in g.neighbors(v)} - set(body)
+
 
 class TestReport:
     def test_octahedron_report(self):

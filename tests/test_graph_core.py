@@ -11,7 +11,7 @@ from unicon4 import (FormatError, Graph, GraphError, add_edges, add_vertex_with_
                      delete_vertex, find_isomorphism, format_edge_list, format_graph6,
                      induced, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
                      oracle_graphs, parse_graph6, remove_edges, square_of_cycle, to_dot)
-from unicon4 import graph_core
+from unicon4 import graph_core, transform
 from unicon4.graph_core import relabel
 
 import reference
@@ -101,9 +101,9 @@ class TestMutators:
 
 
 class TestMaskBuilt:
-    """The mutators and canonical_form build rows from bitmasks; each must
-    equal the graph built from its edge list, and reject bad input with the
-    edge-list build's message."""
+    """The mutators, canonical_form, induced, relabel and the edge reduction
+    build rows from bitmasks; each must equal the graph built from its edge
+    list, and reject bad input with the edge-list build's message."""
 
     @staticmethod
     def _same(got, want):
@@ -111,6 +111,7 @@ class TestMaskBuilt:
 
     def test_equal_to_edge_list_builds(self):
         rng = random.Random(44)
+        deleted = set()  # how many endpoints the reductions deleted
         for _ in range(200):
             g = reference.random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.5, 0.8]))
             edges = g.edges()
@@ -130,6 +131,22 @@ class TestMaskBuilt:
             assert got_remap == remap
             pos = {old: i for i, old in enumerate(graph_core.canonical_labeling(g))}
             self._same(canonical_form(g), Graph(g.n, [(pos[a], pos[b]) for a, b in edges]))
+            keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            at = {old: new for new, old in enumerate(keep)}
+            self._same(induced(g, keep), Graph(len(keep), [(at[a], at[b]) for a, b in edges
+                                                           if a in at and b in at]))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            mapping = dict(enumerate(perm))
+            self._same(relabel(g, mapping), Graph(g.n, [(perm[a], perm[b]) for a, b in edges]))
+            if edges:
+                x, y = rng.choice(edges)
+                got, got_remap = transform._reduce(g, x, y)
+                want, want_remap = reference.reduce_by_sets(g, x, y)
+                self._same(got, want)
+                assert got_remap == want_remap
+                deleted.add(g.n - got.n)
+        assert deleted == {0, 1, 2}
 
     @pytest.mark.parametrize("build, message", [
         (lambda g: add_edges(g, [(0, 1), (2, 2)]), "self-loop at vertex 2"),

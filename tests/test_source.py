@@ -161,6 +161,41 @@ def test_flow_caller_finder_sees_a_private_count():
     assert _flow_callers(tree, "m", "_local_conn") == {"m.asks"}
 
 
+# every graph derived from another is built from adjacency rows
+# (graph_core._form_from, Graph._of); an edge list is built into a Graph
+# only where the edges are the input: the fixtures and the two parsers.
+# May only shrink.
+EDGE_LIST_BUILDERS = {"graph_core.complete_graph", "graph_core.cycle_graph",
+                      "graph_core.square_of_cycle", "graph_core.parse_graph6",
+                      "graph_core.parse_edge_list"}
+
+
+def _edge_list_builders(tree, module):
+    """module.f for each top-level function f that calls Graph with an
+    edge argument; Graph(n) alone builds no edge list."""
+    return {f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and _callee(c) == "Graph"
+                    and len(c.args) + len(c.keywords) > 1 for c in ast.walk(node))}
+
+
+def test_derived_graphs_are_built_from_rows():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _edge_list_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == EDGE_LIST_BUILDERS
+
+
+def test_edge_list_builder_finder_sees_each_form():
+    tree = ast.parse(
+        "def _pairs(n):\n    return Graph(n, [(0, 1)])\n"
+        "def _named(n, e):\n    return graph_core.Graph(n, edges=e)\n"
+        "def _nested(n):\n    def inner():\n        return Graph(n, ())\n    return inner\n"
+        "def _single():\n    return Graph(1)\n"
+        "def _rows(adj):\n    return Graph._of(adj)\n")
+    assert _edge_list_builders(tree, "m") == {"m._pairs", "m._named", "m._nested"}
+
+
 # the CLI touches files only through _read and _write, which turn every
 # failure into an input error; a new command must not open a file itself
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
