@@ -522,6 +522,23 @@ class TestDecompose:
                .hexdigest() for n in self.SQUARE_TRACES}
         assert got == self.SQUARE_TRACES
 
+    def test_decompose_outcomes_pinned(self):
+        # sha256 over each graph's trace, or the name of the error it
+        # raises, for every class of census(8) and census(9) plus one n = 10
+        # graph that re-enters the cube complement GJem^_: 53 traces and 7
+        # DecompositionErrors; pruning the search must leave all of them
+        digest = hashlib.sha256()
+        outcomes = []
+        for g in oracle_graphs(8) + oracle_graphs(9) + (graph_core.parse_graph6("I@L{UFPw_"),):
+            try:
+                text = trace_to_json(decompose(g))
+            except construct.DecompositionError as exc:
+                text = type(exc).__name__
+            outcomes.append(text)
+            digest.update(text.encode("ascii") + b"\n")
+        assert outcomes.count("DecompositionError") == 7 and len(outcomes) == 60
+        assert digest.hexdigest() == "d5f327e647273fcb20ad8b67df85421427d22f586b31c5b32fba077dc74b965f"
+
 
 class TestTraces:
     def test_json_round_trip(self):
