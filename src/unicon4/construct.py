@@ -29,6 +29,9 @@ TRACE_SCHEMA = "unicon4.trace/v1"
 
 BASE_TAGS = ("C5SQ", "C6SQ")
 
+# each base's certificate and canonical labeling, which never change
+_BASES = {"C5SQ": (b"D~{", (0, 1, 2, 3, 4)), "C6SQ": (b"E]~o", (0, 3, 1, 4, 2, 5))}
+
 # candidates decompose examines before giving up (K4,4 exhausts its search after 784)
 DECOMPOSE_CANDIDATES = 1_000_000
 
@@ -231,28 +234,35 @@ def decompose(g: Graph) -> ConstructionTrace:
 
     Depth-first search over parent candidates in a fixed order, descending
     only into uniformly 4-connected parents, so every emitted intermediate
-    is itself uniformly 4-connected.  At most DECOMPOSE_CANDIDATES
-    candidates are examined across the whole search.
+    is itself uniformly 4-connected.  A host whose rows break one of the
+    bounds that every uniformly 4-connected graph meets
+    (_meets_uniform_bounds) is passed over without the uniformity test.
+    Whether the search from a graph succeeds depends only on its
+    isomorphism class (by induction on n: an isomorphism maps the
+    candidates of one graph onto those of the other), so a class whose
+    search failed is recorded by certificate in this call and not searched
+    again.  At most DECOMPOSE_CANDIDATES candidates are examined across the
+    whole search.
     """
     uniform, _ = is_uniformly_4_connected(g)
     if not uniform:
         raise NotUniform("decomposition is defined for uniformly 4-connected graphs")
-    base_of = {canonical_cert(base_graph(tag)): tag for tag in BASE_TAGS}
     nodes = [0]
+    failed: set = set()
 
     def search(cur: Graph, order: Tuple[int, ...]) -> Tuple[str, List[TraceStep], Graph, tuple]:
         # order labels cur; the graph rebuilt comes back with its labeling
         cert = _cert_from(cur, order)
-        if cert in base_of:
-            base = base_graph(base_of[cert])
-            return base_of[cert], [], base, canonical_labeling(base)
-        for op, host, spec in _parent_candidates(cur):
+        for tag, (base_cert, base_order) in _BASES.items():
+            if cert == base_cert:
+                return tag, [], base_graph(tag), base_order
+        for op, host, spec in () if cert in failed else _parent_candidates(cur):
             nodes[0] += 1
             if nodes[0] > DECOMPOSE_CANDIDATES:
                 raise BudgetExceeded(f"decomposition examined {nodes[0]} candidates")
-            # a vertex of degree < 4 already rules the host out, so skip the
-            # cut witness that is_uniformly_4_connected would build for it
-            if host.min_degree() < 4 or not is_uniformly_4_connected(host)[0]:
+            # a host that breaks a bound cannot be uniformly 4-connected, so
+            # skip the witness that is_uniformly_4_connected would build for it
+            if not _meets_uniform_bounds(host._adj) or not is_uniformly_4_connected(host)[0]:
                 continue
             try:
                 _clauses(host, spec)  # host was just checked uniformly 4-connected
@@ -274,6 +284,7 @@ def decompose(g: Graph) -> ConstructionTrace:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
             return tag, steps, out, out_order
+        failed.add(cert)
         raise DecompositionError(f"no uniformly 4-connected parent found for {cur!r}")
 
     tag, steps, _, _ = search(g, canonical_labeling(g))
@@ -303,6 +314,20 @@ def _degree5_forest(rows: Sequence[int]) -> bool:
     return edges == high.bit_count() - len(_components(rows, high))
 
 
+def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
+    """Whether the graph with these rows meets the three necessary bounds
+    of _oracle: minimum degree 4, at most 3 common neighbors for an
+    adjacent pair and 4 for a non-adjacent pair, and a forest on the
+    vertices of degree >= 5."""
+    if min(row.bit_count() for row in rows) < 4:
+        return False
+    for u, row in enumerate(rows):
+        for v in range(u + 1, len(rows)):
+            if (row & rows[v]).bit_count() > (3 if row >> v & 1 else 4):
+                return False
+    return _degree5_forest(rows)
+
+
 def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
     """The one-vertex extensions of parent that keep the census bounds and
     whose new vertex k has maximum degree.
@@ -313,11 +338,10 @@ def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
     built or labeled.  First the degree: k gets degree k - |S| and no old
     vertex may end above it, so no |S| is tried that an old vertex's
     degree already exceeds, and an old vertex of degree k - |S| must lie
-    in S.  Then the common neighbors: a pair with c of them has local
-    connectivity at least c + 1 when adjacent and at least c otherwise, so
-    c may not exceed 3 / 4; k must not see both ends of a pair already at
-    that bound, and must keep it with each old vertex.  Last, the vertices
-    of degree >= 5 must still induce a forest (_degree5_forest).
+    in S.  Then the common-neighbor bound of _oracle: k must not see both
+    ends of a pair already at it, and must keep it with each old vertex.
+    Last, the vertices of degree >= 5 must still induce a forest
+    (_degree5_forest).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
@@ -347,11 +371,16 @@ def _oracle(n: int) -> Dict[bytes, Graph]:
     """Every uniformly 4-connected graph on n vertices, keyed by certificate.
 
     Grows the census one isomorphism class at a time.  Three bounds are
-    necessary for uniform 4-connectivity: minimum degree 4 (complement
-    degree at most n - 5), the common-neighbor bounds of _children, and
-    Mader's forest: a uniformly 4-connected graph is minimally 4-connected
+    necessary for uniform 4-connectivity, where every pair has local
+    connectivity exactly 4: minimum degree 4 (complement degree at most
+    n - 5); common neighbors, since a pair with c of them has at least c
+    internally disjoint paths, c + 1 when adjacent, so c is at most 3 for
+    an adjacent pair and at most 4 for a non-adjacent one; and Mader's
+    forest: a uniformly 4-connected graph is minimally 4-connected
     (deleting an edge uv leaves u and v with local connectivity 3), so its
-    vertices of degree >= 5 induce a forest (Mader 1972).  All three are
+    vertices of degree >= 5 induce a forest (Mader 1972).  _children keeps
+    them as it adds a vertex, and _meets_uniform_bounds checks them on a
+    whole graph, which is how decompose screens its hosts.  All three are
     hereditary: complement degrees, common-neighbor counts and the set of
     degree >= 5 vertices only grow as vertices are added, so every induced
     subgraph of a graph that meets them meets them too.  Take a graph G on
@@ -534,8 +563,8 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     for tag in BASE_TAGS:
         b = base_graph(tag)
         if b.n <= n_max:
-            order = canonical_labeling(b)
-            by_n[b.n][_cert_from(b, order)] = _form_from(b, order)
+            cert, order = _BASES[tag]
+            by_n[b.n][cert] = _form_from(b, order)
     budget_hits = 0
     failures: List[Tuple[bytes, str]] = []
     # the certificate of each labeled output, so that an output several

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -244,8 +245,9 @@ class TestGenerate:
         assert calls == []
 
     def test_each_output_is_labeled_once(self, monkeypatch):
-        # one search per base, per host automorphism group and per distinct
-        # labeled output: 62 when every output was labeled twice
+        # one search per host automorphism group and per distinct labeled
+        # output, the bases being read off construct._BASES: 62 when every
+        # output was labeled twice, 35 when each base was labeled too
         calls = []
         real = graph_core._CanonSearch.run
 
@@ -256,7 +258,7 @@ class TestGenerate:
         monkeypatch.setattr(graph_core._CanonSearch, "run", counting)
         cat = generate_catalog(8)
         assert len(cat.certs_by_n[8]) == 8
-        assert len(calls) == 35
+        assert len(calls) == 33
 
     def test_local_connectivity_counts_before_it_flows(self, monkeypatch):
         # the edge, the common neighbours and the degree cap settle most
@@ -521,6 +523,112 @@ class TestDecompose:
         got = {n: hashlib.sha256(trace_to_json(decompose(square_of_cycle(n))).encode("ascii"))
                .hexdigest() for n in self.SQUARE_TRACES}
         assert got == self.SQUARE_TRACES
+
+    def test_screen_passes_every_census_class(self):
+        def rows(g):
+            return [g.adj_mask(v) for v in range(g.n)]
+
+        for n in range(5, 10):
+            for g in oracle_graphs(n):
+                assert construct._meets_uniform_bounds(rows(g)), format_graph6(g)
+        assert construct._meets_uniform_bounds(rows(K44))
+        # one bound broken at a time: a vertex of degree 3; an adjacent
+        # pair with 4 common neighbors; the triangle 0, 3, 4 of degree >= 5
+        # vertices, every pair within its common-neighbor bound
+        assert not construct._meets_uniform_bounds(rows(graph_core.remove_edges(square_of_cycle(8),
+                                                                                [(0, 1)])))
+        assert construct._degree5_forest(rows(octahedron_plus()))
+        assert not construct._meets_uniform_bounds(rows(octahedron_plus()))
+        c8sq_plus = graph_core.add_edges(square_of_cycle(8), [(0, 3), (0, 4)])
+        assert not construct._degree5_forest(rows(c8sq_plus))
+        assert not construct._meets_uniform_bounds(rows(c8sq_plus))
+
+    def test_screened_hosts_are_not_uniform(self, monkeypatch):
+        # networkx shares no code with the screen: each sampled host it
+        # rejects while decomposing census(9) has a pair whose local
+        # connectivity is not 4
+        nx = pytest.importorskip("networkx")
+        local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+        rejected = []
+        screen = construct._meets_uniform_bounds
+
+        def recorded(rows):
+            ok = screen(rows)
+            if not ok:
+                rejected.append(Graph._of(rows))
+            return ok
+
+        monkeypatch.setattr(construct, "_meets_uniform_bounds", recorded)
+        for g in oracle_graphs(9):
+            try:
+                decompose(g)
+            except construct.DecompositionError:
+                pass
+        assert len(rejected) > 50
+
+        def kappa(h, u, v):
+            if not h.has_edge(u, v):
+                return local_node_connectivity(h, u, v)
+            h.remove_edge(u, v)
+            k = 1 + local_node_connectivity(h, u, v)
+            h.add_edge(u, v)
+            return k
+
+        for g in random.Random(9).sample(rejected, 50):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert any(kappa(h, u, v) != 4 for u, v in itertools.combinations(range(g.n), 2)), g
+
+    def test_each_class_is_searched_once(self, monkeypatch):
+        # I@L{UFPw_ has no decomposition; its search re-entered the cube
+        # complement GJem^_ 11 times when a failed class was searched again
+        searched = []
+        candidates = construct._parent_candidates
+
+        def recorded(g):
+            searched.append(canonical_cert(g))
+            return candidates(g)
+
+        monkeypatch.setattr(construct, "_parent_candidates", recorded)
+        with pytest.raises(construct.DecompositionError):
+            decompose(graph_core.parse_graph6("I@L{UFPw_"))
+        assert len(searched) == len(set(searched))
+        assert canonical_cert(graph_core.parse_graph6("GJem^_")) in searched
+
+    def test_only_screened_hosts_are_checked_for_uniformity(self, monkeypatch):
+        # the input gets exactly one public check, every later one is on a
+        # host that meets the bounds
+        checked = []
+        check = construct.is_uniformly_4_connected
+
+        def recorded(h):
+            checked.append(h)
+            return check(h)
+
+        monkeypatch.setattr(construct, "is_uniformly_4_connected", recorded)
+        hosts = 0
+        for g in (square_of_cycle(12), K44, graph_core.parse_graph6("I@L{UFPw_")):
+            checked.clear()
+            try:
+                decompose(g)
+            except construct.DecompositionError:
+                pass
+            assert checked[0] is g
+            assert all(h.n < g.n and construct._meets_uniform_bounds(
+                [h.adj_mask(v) for v in range(h.n)]) for h in checked[1:])
+            hosts += len(checked) - 1
+        assert hosts > 0
+        checked.clear()
+        with pytest.raises(NotUniform):
+            decompose(complete_graph(6))
+        assert len(checked) == 1
+
+    def test_base_table_matches_the_labeling(self):
+        assert tuple(construct._BASES) == construct.BASE_TAGS
+        for tag, (cert, order) in construct._BASES.items():
+            assert cert == canonical_cert(base_graph(tag))
+            assert order == graph_core.canonical_labeling(base_graph(tag))
 
     def test_decompose_outcomes_pinned(self):
         # sha256 over each graph's trace, or the name of the error it
