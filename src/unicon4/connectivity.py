@@ -407,12 +407,12 @@ def minimum_cuts(g: Graph) -> List[frozenset]:
 
 def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
     """All unions of some but not all components of g - cut."""
+    alive = (1 << g.n) - 1
+    for c in cut:
+        alive &= ~(1 << g._vertex(c))
     kappa = vertex_connectivity(g)
     if len(cut) != kappa:
         raise GraphError(f"cut size {len(cut)} is not the minimum {kappa}")
-    alive = (1 << g.n) - 1
-    for c in cut:
-        alive &= ~(1 << c)
     comps = _components(g._adj, alive)
     if len(comps) < 2:
         raise GraphError("given set is not a vertex cut")

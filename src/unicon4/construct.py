@@ -23,7 +23,7 @@ from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canon
                          canonical_form, canonical_labeling, format_graph6,
                          square_of_cycle, _cert_from, _form_from, _iso_from, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
-                        _clauses, is_quasi_4_compatible)
+                        _clauses, _reduced, is_quasi_4_compatible)
 
 TRACE_SCHEMA = "unicon4.trace/v1"
 
@@ -189,6 +189,14 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
     vertex (or an adjacent degree-4 pair) and restoring edges inside its
     outer neighborhood inverts an expansion.  Full restorations (the edge
     reduction of the removed attachment edge) come first.
+
+    On a 4-connected g every candidate meets the defining clauses, so
+    decompose checks none.  The shape clauses hold by construction, and
+    removing the spec's edges from the host leaves the reduced host g - x
+    (delta-1, 3-connected) or g - {x, y} (delta-2, 2-connected).  If an end
+    F of a 2-cut S of g - {x, y} missed x's 3-set, N_g(F) would lie in
+    S + {y}, a cut of at most 3 vertices between F and x in g, which is
+    impossible; likewise for y's 3-set.
     """
     deg4 = [v for v in range(g.n) if g.degree(v) == 4]
     for x in deg4:
@@ -234,7 +242,8 @@ def decompose(g: Graph) -> ConstructionTrace:
 
     Depth-first search over parent candidates in a fixed order, descending
     only into uniformly 4-connected parents, so every emitted intermediate
-    is itself uniformly 4-connected.  A host whose rows break one of the
+    is itself uniformly 4-connected; candidates meet the defining clauses
+    by construction (_parent_candidates).  A host whose rows break one of the
     bounds that every uniformly 4-connected graph meets
     (_meets_uniform_bounds) is passed over without the uniformity test.
     Whether the search from a graph succeeds depends only on its
@@ -264,10 +273,6 @@ def decompose(g: Graph) -> ConstructionTrace:
             # skip the witness that is_uniformly_4_connected would build for it
             if not _meets_uniform_bounds(host._adj) or not is_uniformly_4_connected(host)[0]:
                 continue
-            try:
-                _clauses(host, spec)  # host was just checked uniformly 4-connected
-            except SpecInvalid:
-                continue
             host_order = canonical_labeling(host)
             try:
                 tag, steps, rebuilt, rebuilt_order = search(host, host_order)
@@ -277,8 +282,7 @@ def decompose(g: Graph) -> ConstructionTrace:
             if iso is None:
                 raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
-            # rebuilt is isomorphic to the uniformly 4-connected host
-            out = _attach(_clauses(rebuilt, moved), moved)
+            out = _attach(_reduced(rebuilt, moved), moved)
             out_order = canonical_labeling(out)
             if _cert_from(out, out_order) != cert:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
@@ -465,16 +469,15 @@ def _triples(h: Graph) -> List[Tuple[int, List[Tuple[Side, SideKey]]]]:
     return table
 
 
-def _keyed_specs(h: Graph, delta1: bool = True, delta2: bool = True) -> Iterator[tuple]:
-    """Every spec on h as (key, raw spec): the delta-1 specs, then the
-    delta-2 specs, each in enumeration order."""
+def _keyed_specs(h: Graph, delta2: bool = True) -> Iterator[tuple]:
+    """Every spec on h as (key, raw spec): the delta-1 specs, then, when
+    delta2, the delta-2 specs, each in enumeration order."""
     table = _triples(h)
-    if delta1:
-        for xm, sides in table:
-            for side, (_, em) in sides:
-                for y in range(h.n):
-                    if not xm >> y & 1:
-                        yield (xm, 1 << y, em), (side, y)
+    for xm, sides in table:
+        for side, (_, em) in sides:
+            for y in range(h.n):
+                if not xm >> y & 1:
+                    yield (xm, 1 << y, em), (side, y)
     if delta2:
         # unordered pairs of distinct 3-sets, which share at most 2 vertices:
         # swapping the two sides relabels the two new vertices
@@ -490,14 +493,6 @@ def _spec(raw: tuple) -> CompatSet:
     if type(other) is int:
         return Delta1Spec(side[0], other, side[1])
     return Delta2Spec(side[0], other[0], side[1], other[1])
-
-
-def _delta1_specs(h: Graph) -> Iterator[Delta1Spec]:
-    return (_spec(raw) for _, raw in _keyed_specs(h, delta2=False))
-
-
-def _delta2_specs(h: Graph) -> Iterator[Delta2Spec]:
-    return (_spec(raw) for _, raw in _keyed_specs(h, delta1=False))
 
 
 def _key_tables(h: Graph) -> List[Tuple[Tuple[int, ...], List[int]]]:

@@ -269,8 +269,11 @@ def _attach(reduced: Graph, spec: CompatSet) -> Graph:
     return add_vertex_with_neighbors(g, list(spec.y_set) + [reduced.n])
 
 
-def _validated(h: Graph, spec: CompatSet) -> Graph:
-    """The reduced host, once every defining clause holds."""
+def _validated(h: Graph, spec: CompatSet, kinds: Tuple[type, ...] = (Delta1Spec, Delta2Spec)) -> Graph:
+    """The reduced host, once spec is one of kinds and every defining clause holds."""
+    if not isinstance(spec, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise SpecInvalid("spec-kind", f"expected a {names}, got {type(spec).__name__}")
     if not is_k_connected(h, 4):
         raise SpecInvalid("host-4-connected", "the host graph must be 4-connected")
     return _clauses(h, spec)
@@ -280,19 +283,19 @@ def _validated(h: Graph, spec: CompatSet) -> Graph:
 
 
 def validate_delta1(h: Graph, spec: Delta1Spec) -> None:
-    _validated(h, spec)
+    _validated(h, spec, (Delta1Spec,))
 
 
 def apply_delta1(h: Graph, spec: Delta1Spec) -> Graph:
-    return _attach(_validated(h, spec), spec)
+    return _attach(_validated(h, spec, (Delta1Spec,)), spec)
 
 
 def validate_delta2(h: Graph, spec: Delta2Spec) -> None:
-    _validated(h, spec)
+    _validated(h, spec, (Delta2Spec,))
 
 
 def apply_delta2(h: Graph, spec: Delta2Spec) -> Graph:
-    return _attach(_validated(h, spec), spec)
+    return _attach(_validated(h, spec, (Delta2Spec,)), spec)
 
 
 def apply_delta(h: Graph, spec: CompatSet) -> Graph:

@@ -369,6 +369,13 @@ class TestCutsFragmentsEnds:
         with pytest.raises(GraphError):
             fragments(octahedron(), frozenset({0, 1, 2, 3}))  # right size, not a cut
 
+    def test_fragment_cut_ids_are_range_checked(self):
+        # unchecked, a negative id would shift by a negative count, and an id
+        # past the end would read as "not a vertex cut"
+        for cut, bad in (({-1, 2, 5, 6}, -1), ({1, 2, 5, 99}, 99)):
+            with pytest.raises(GraphError, match=f"^vertex {bad} outside 0..7$"):
+                fragments(square_of_cycle(8), frozenset(cut))
+
     def test_two_components_give_two_fragments(self):
         for cut in minimum_cuts(two_k5_share_4()):
             frags = fragments(two_k5_share_4(), cut)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -646,6 +647,22 @@ class TestDecompose:
             digest.update(text.encode("ascii") + b"\n")
         assert outcomes.count("DecompositionError") == 7 and len(outcomes) == 60
         assert digest.hexdigest() == "d5f327e647273fcb20ad8b67df85421427d22f586b31c5b32fba077dc74b965f"
+
+    def test_every_parent_candidate_meets_the_clauses(self):
+        # the lemma in _parent_candidates that lets decompose skip the
+        # clauses: on a 4-connected graph none of them fails, end coverage
+        # included (the 796 candidates whose reduced host has a 2-cut)
+        kappas = collections.Counter()
+        for n in range(5, 9):
+            for g in oracle_graphs(n):
+                for op, host, spec in construct._parent_candidates(g):
+                    kappas[op, connectivity._kappa(transform._clauses(host, spec), 3)] += 1
+        assert kappas == {("delta1", 3): 230, ("delta2", 3): 884, ("delta2", 2): 796}
+        c9sq_chord = graph_core.add_edges(square_of_cycle(9), [(0, 3)])
+        for g in (graph_core.k6_minus_edge(), octahedron_plus(), c9sq_chord):
+            assert connectivity.is_k_connected(g, 4)
+            for _, host, spec in construct._parent_candidates(g):
+                transform._clauses(host, spec)
 
 
 class TestTraces:

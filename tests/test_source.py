@@ -135,6 +135,20 @@ def test_connectivity_counts_only_in_its_kernel():
         assert _flow_callers(tree, "connectivity", callee) == callers, callee
 
 
+# the defining clauses are checked only where a spec comes from outside:
+# a trace step, generation's enumeration and the public validators.  A
+# decompose candidate meets them by construction (_parent_candidates).
+# May only shrink.
+CLAUSE_CALLERS = {"construct.replay", "construct.generate_catalog", "transform._validated"}
+
+
+def test_clauses_are_checked_only_on_outside_specs():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _flow_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, "_clauses")
+    assert found == CLAUSE_CALLERS
+
+
 # every path enumeration goes through the one sweep, and only the one
 # truncation test asks for the path-count bound, so no enumeration site
 # can skip the per-sweep test.  May only shrink.

@@ -15,7 +15,7 @@ from unicon4 import (ConnectivityTooLow, Delta1Spec, Delta2Spec, EndCoverageViol
                      square_of_cycle, validate_delta1, validate_delta2, vertex_connectivity,
                      verify_witness)
 from unicon4 import apply_delta, chording, format_graph6, transform
-from unicon4.construct import _delta1_specs, _delta2_specs, generate_catalog
+from unicon4.construct import _keyed_specs, _spec, generate_catalog
 from unicon4.transform import _clauses, _separated
 
 import reference
@@ -303,6 +303,31 @@ class TestDelta2:
         assert hit_ok and hit_bad, (hit_ok, hit_bad)
 
 
+class TestSpecKind:
+    D1 = Delta1Spec((0, 1, 2), 4, [(0, 2)])
+    D2 = Delta2Spec((0, 1, 2), (4, 5, 6), [(0, 2)], [(4, 6)])
+
+    def test_typed_functions_reject_the_other_kind(self):
+        # unchecked, a delta-1 function would attach a delta-2 spec's new
+        # pair; the kind is checked before anything else, so the host need
+        # not even be 4-connected
+        for h in (square_of_cycle(8), cycle_graph(8)):
+            for fn, spec, want in ((validate_delta1, self.D2, "Delta1Spec"),
+                                   (apply_delta1, self.D2, "Delta1Spec"),
+                                   (validate_delta2, self.D1, "Delta2Spec"),
+                                   (apply_delta2, self.D1, "Delta2Spec")):
+                with pytest.raises(SpecInvalid, match=f"expected a {want}, got") as err:
+                    fn(h, spec)
+                assert err.value.clause == "spec-kind"
+
+    def test_untyped_functions_take_either_kind(self):
+        h = square_of_cycle(8)
+        assert apply_delta(h, self.D1).n == 9 and apply_delta(h, self.D2).n == 10
+        with pytest.raises(SpecInvalid) as err:
+            apply_delta(h, (0, 1, 2))
+        assert err.value.clause == "spec-kind"
+
+
 class TestEveryClause:
     def test_outcome_of_every_spec_is_pinned(self):
         # each spec of both types on five small hosts, one of them not
@@ -312,7 +337,7 @@ class TestEveryClause:
         count = 0
         for h in (complete_graph(5), octahedron(), octahedron_plus(), k6_minus_edge(),
                   cycle_graph(6)):
-            for spec in [*_delta1_specs(h), *_delta2_specs(h)]:
+            for spec in (_spec(raw) for _, raw in _keyed_specs(h)):
                 try:
                     outcome = format_graph6(apply_delta(h, spec))
                 except SpecInvalid as exc:
@@ -337,7 +362,7 @@ class TestEveryCompatReport:
         digest = hashlib.sha256()
         outcomes = collections.Counter()
         for h, both in hosts:
-            for spec in [*_delta1_specs(h), *(_delta2_specs(h) if both else ())]:
+            for spec in (_spec(raw) for _, raw in _keyed_specs(h, delta2=both)):
                 try:
                     _clauses(h, spec)
                 except SpecInvalid:
