@@ -53,11 +53,7 @@ def _load_graph(path: str, fmt: Optional[str]) -> Graph:
     text = _read(path)
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "edges"
-    if fmt == "g6":
-        return parse_graph6(text)
-    if fmt == "edges":
-        return parse_edge_list(text)
-    raise FormatError(f"unknown input format {fmt!r}")
+    return parse_graph6(text) if fmt == "g6" else parse_edge_list(text)
 
 
 def _emit(args, fields: dict) -> None:
@@ -175,13 +171,11 @@ def _cmd_apply(args) -> Tuple[dict, int]:
         if args.y is None:
             raise FormatError("delta1 needs --y")
         spec = Delta1Spec(xs, args.y, exs)
-    elif args.op == "delta2":
+    else:
         if not args.yset:
             raise FormatError("delta2 needs --yset")
         spec = Delta2Spec(xs, _parse_vertex_list(args.yset, "--yset"),
                           exs, _parse_edge_set(args.ey, "--ey"))
-    else:
-        raise FormatError(f"unknown operation {args.op!r}")
     reduced = _validated(g, spec)  # before any verdict: an invalid spec exits 2, naming its clause
     payload = {"op": args.op}
     if args.check_compat:
@@ -256,10 +250,8 @@ def _cmd_convert(args) -> Tuple[dict, int]:
         text = format_graph6(g) + "\n"
     elif args.to == "edges":
         text = format_edge_list(g)
-    elif args.to == "dot":
-        text = to_dot(g)
     else:
-        raise FormatError(f"unknown output format {args.to!r}")
+        text = to_dot(g)
     payload = {"to": args.to, "output": text}
     _write(args, payload, text)
     return payload, OK

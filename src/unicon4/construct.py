@@ -102,14 +102,6 @@ def trace_to_json(trace: ConstructionTrace) -> str:
     return json.dumps({"schema": TRACE_SCHEMA, "base": trace.base, "steps": steps}, indent=2)
 
 
-def _ids(value) -> list:
-    """value, once it is a list of JSON integers; a float or a bool would
-    otherwise be read as some other vertex."""
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise TypeError(f"expected a list of integer vertex ids, got {value!r}")
-    return value
-
-
 def trace_from_json(text: str) -> ConstructionTrace:
     try:
         doc = json.loads(text)
@@ -125,13 +117,11 @@ def trace_from_json(text: str) -> ConstructionTrace:
     for i, d in enumerate(doc.get("steps", [])):
         try:
             op = d["op"]
+            # a spec refuses any id that is not an int with SpecInvalid, a ValueError
             if op == "delta1":
-                spec: CompatSet = Delta1Spec(_ids(d["x_set"]), _ids([d["y_vertex"]])[0],
-                                             [tuple(_ids(e)) for e in d["ex_edges"]])
+                spec: CompatSet = Delta1Spec(d["x_set"], d["y_vertex"], d["ex_edges"])
             elif op == "delta2":
-                spec = Delta2Spec(_ids(d["x_set"]), _ids(d["y_set"]),
-                                  [tuple(_ids(e)) for e in d["ex_edges"]],
-                                  [tuple(_ids(e)) for e in d["ey_edges"]])
+                spec = Delta2Spec(d["x_set"], d["y_set"], d["ex_edges"], d["ey_edges"])
             else:
                 raise TraceFormatError(f"step {i}: unknown op {op!r}")
             if not isinstance(d["post_cert"], str):
@@ -196,7 +186,10 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
     (delta-1, 3-connected) or g - {x, y} (delta-2, 2-connected).  If an end
     F of a 2-cut S of g - {x, y} missed x's 3-set, N_g(F) would lie in
     S + {y}, a cut of at most 3 vertices between F and x in g, which is
-    impossible; likewise for y's 3-set.
+    impossible; likewise for y's 3-set.  The two 3-sets share at most 2
+    vertices: were N(x) - y = N(y) - x, that 3-set would separate {x, y}
+    from the rest of g when n >= 6, and at n = 5, g is K5, whose 3-sets
+    have no missing edge to restore.
     """
     deg4 = [v for v in range(g.n) if g.degree(v) == 4]
     for x in deg4:
@@ -209,8 +202,6 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
                 gone, yset, missing_y = (x,), (), []
             elif y > x:
                 yset = tuple(sorted(set(g.neighbors(y)) - {x}))
-                if len(set(xset) & set(yset)) > 2:
-                    continue
                 missing_y = [e for e in itertools.combinations(yset, 2) if not g.has_edge(*e)]
                 if not missing_y:
                     continue
@@ -438,15 +429,18 @@ class GenerationResult:
         return frozenset(out)
 
 
-# A spec's key is a tuple of integers that names it exactly.  A side (a
-# 3-set with the inside edges it removes) is keyed by its vertex mask and
-# its edge mask, with the host edge ab, a < b, as bit a * n + b.  A delta-1
-# key is (x mask, 1 << y, ex mask); a delta-2 key is its two side keys,
-# ordered by side mask.  A raw spec is (side, y) or (side, side), a side
-# being (3-set, edges, edge bits); a spec object is built from it only when
-# the spec is checked.
+# A spec's key is a tuple of integers that names it exactly, built from
+# vertex bits alone.  Each removed edge lies inside a 3-set, and inside
+# {a, b, c} the edge ab is named by the vertex it misses, c: a bijection
+# for a fixed 3-set, and exact under an automorphism p, which sends the
+# edge ab of X to p(a)p(b), missing p(c) in p(X).  A side, (3-set, missed
+# vertices), is keyed by the masks of the two; a delta-1 key is (x mask,
+# 1 << y, missed mask) and a delta-2 key its two side keys, ordered by
+# side mask.  A raw spec is (side, y) or (side, side); a spec object, its
+# edges rebuilt from the missed vertices, is built only when the spec is
+# checked.
 
-Side = Tuple[Tuple[int, int, int], Tuple[Pair, ...], Tuple[int, ...]]
+Side = Tuple[Tuple[int, int, int], Tuple[int, ...]]
 SideKey = Tuple[int, int]
 
 
@@ -454,17 +448,16 @@ def _triples(h: Graph) -> List[Tuple[int, List[Tuple[Side, SideKey]]]]:
     """Each 3-set holding a host edge, as its vertex mask with the sides of
     its nonempty sets of inside edges, smallest first, and their keys: the
     removal choices of one side of a spec."""
-    n = h.n
     table = []
-    for xs in itertools.combinations(range(n), 3):
-        inside = [e for e in itertools.combinations(xs, 2) if h.has_edge(*e)]
+    for xs in itertools.combinations(range(h.n), 3):
+        # the vertices missed by the host edges among ab, ac, bc, in that order
+        inside = [m for e, m in zip(itertools.combinations(xs, 2), xs[::-1]) if h.has_edge(*e)]
         if inside:
             xm = (1 << xs[0]) | (1 << xs[1]) | (1 << xs[2])
             sides = []
             for r in range(1, len(inside) + 1):
-                for exs in itertools.combinations(inside, r):
-                    bits = tuple(a * n + b for a, b in exs)
-                    sides.append(((xs, exs, bits), (xm, sum(1 << i for i in bits))))
+                for missed in itertools.combinations(inside, r):
+                    sides.append(((xs, missed), (xm, sum(1 << m for m in missed))))
             table.append((xm, sides))
     return table
 
@@ -474,10 +467,10 @@ def _keyed_specs(h: Graph, delta2: bool = True) -> Iterator[tuple]:
     delta2, the delta-2 specs, each in enumeration order."""
     table = _triples(h)
     for xm, sides in table:
-        for side, (_, em) in sides:
+        for side, (_, mm) in sides:
             for y in range(h.n):
                 if not xm >> y & 1:
-                    yield (xm, 1 << y, em), (side, y)
+                    yield (xm, 1 << y, mm), (side, y)
     if delta2:
         # unordered pairs of distinct 3-sets, which share at most 2 vertices:
         # swapping the two sides relabels the two new vertices
@@ -488,43 +481,38 @@ def _keyed_specs(h: Graph, delta2: bool = True) -> Iterator[tuple]:
                         yield ((kx, ky) if xm < ym else (ky, kx)), (sx, sy)
 
 
+def _edges(side: Side) -> Tuple[Pair, ...]:
+    xs, missed = side
+    return tuple(tuple(v for v in xs if v != m) for m in missed)
+
+
 def _spec(raw: tuple) -> CompatSet:
     side, other = raw
     if type(other) is int:
-        return Delta1Spec(side[0], other, side[1])
-    return Delta2Spec(side[0], other[0], side[1], other[1])
+        return Delta1Spec(side[0], other, _edges(side))
+    return Delta2Spec(side[0], other[0], _edges(side), _edges(other))
 
 
-def _key_tables(h: Graph) -> List[Tuple[Tuple[int, ...], List[int]]]:
-    """For each automorphism p of h, the bit of p(v) by vertex v and the bit
-    of the edge p(a)p(b) by the bit a * n + b of each host edge ab."""
-    n = h.n
-    edges = h.edges()
-    tables = []
-    for p in automorphism_group(h):
-        pair = [0] * (n * n)
-        for a, b in edges:
-            c, d = p[a], p[b]
-            pair[a * n + b] = 1 << (c * n + d if c < d else d * n + c)
-        tables.append((tuple(1 << v for v in p), pair))
-    return tables
+def _key_tables(h: Graph) -> List[Tuple[int, ...]]:
+    """For each automorphism p of h, the bit of p(v) by vertex v."""
+    return [tuple(1 << v for v in p) for p in automorphism_group(h)]
 
 
-def _side_image(side: Side, vbit: Tuple[int, ...], pbit: List[int]) -> SideKey:
-    (a, b, c), _, bits = side
-    em = 0
-    for i in bits:
-        em |= pbit[i]
-    return vbit[a] | vbit[b] | vbit[c], em
+def _side_image(side: Side, vbit: Tuple[int, ...]) -> SideKey:
+    (a, b, c), missed = side
+    mm = 0
+    for m in missed:
+        mm |= vbit[m]
+    return vbit[a] | vbit[b] | vbit[c], mm
 
 
-def _key_image(raw: tuple, vbit: Tuple[int, ...], pbit: List[int]) -> tuple:
-    """The key of the raw spec's image under one automorphism's tables."""
+def _key_image(raw: tuple, vbit: Tuple[int, ...]) -> tuple:
+    """The key of the raw spec's image under one automorphism's vertex bits."""
     side, other = raw
-    kx = _side_image(side, vbit, pbit)
+    kx = _side_image(side, vbit)
     if type(other) is int:
         return kx[0], vbit[other], kx[1]
-    ky = _side_image(other, vbit, pbit)
+    ky = _side_image(other, vbit)
     return (kx, ky) if kx < ky else (ky, kx)
 
 
@@ -535,15 +523,16 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     An automorphism maps the reduced host of a spec isomorphically onto the
     reduced host of the image spec, so the clauses, every complete path
     sweep, the output's certificate and its uniformity agree across the
-    orbit.  Specs are enumerated with integer keys (described above
-    _triples), and a spec object is built only for the first spec of each
-    orbit, to be checked; the key of each of its images is a few ORs
-    through the automorphism's vertex-bit and edge-bit tables (_key_tables),
-    and every image key is mapped to the outcome.  A delta-2 key is the
-    unordered pair of its side keys.  That is exact: the delta-2 clauses
-    and compatibility conditions are symmetric in the two sides, and
-    swapping the sides only swaps the labels of the two new vertices, so
-    both orders of a pair have the same outcome.  A sweep the budget
+    orbit.  Specs are enumerated with integer keys of vertex bits alone,
+    which name each removed edge by the 3-set vertex it misses (described
+    above _triples), and a spec object is built only for the first spec of
+    each orbit, to be checked; the key of each of its images is a few ORs
+    of the automorphism's vertex bits (_key_tables), and every image key is
+    mapped to the outcome.  A delta-2 key is the unordered pair of its
+    side keys.  That is exact: the delta-2 clauses and compatibility
+    conditions are symmetric in the two sides, and swapping the sides only
+    swaps the labels of the two new vertices, so both orders of a pair
+    have the same outcome.  A sweep the budget
     truncates keeps the first max_paths paths in label order, which an
     automorphism does not preserve; so the outcome is reused only when no
     sweep on the host can be truncated (max_len None or at least the host
@@ -599,8 +588,8 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
                     except BudgetExceeded:
                         budget_hits += 1
                         continue
-                    for vbit, pbit in tables:
-                        known[_key_image(raw, vbit, pbit)] = result
+                    for vbit in tables:
+                        known[_key_image(raw, vbit)] = result
                 if result is not None and not result[1]:
                     failures.append((result[0], repr(_spec(raw))))
 

@@ -51,6 +51,14 @@ def _norm_edges(edges) -> Tuple[Pair, ...]:
     return tuple(sorted({(u, v) if u < v else (v, u) for u, v in edges}))
 
 
+def _check_ids(*ids) -> None:
+    """Refuse, before any sort, a vertex id that is not exactly an int: a
+    float or a bool would otherwise be read as some other vertex."""
+    bad = [v for v in ids if type(v) is not int]
+    if bad:
+        raise SpecInvalid("vertex-ids", f"vertex ids must be integers, got {bad}")
+
+
 @dataclass(frozen=True)
 class Delta1Spec:
     """Parameters of a delta-1 expansion: wipe ex_edges inside the 3-set
@@ -60,8 +68,10 @@ class Delta1Spec:
     ex_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_vertex, ex_edges):
+        x_set, ex_edges = tuple(x_set), tuple(ex_edges)
+        _check_ids(*x_set, y_vertex, *itertools.chain(*ex_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
-        object.__setattr__(self, "y_vertex", int(y_vertex))
+        object.__setattr__(self, "y_vertex", y_vertex)
         object.__setattr__(self, "ex_edges", _norm_edges(ex_edges))
 
 
@@ -75,6 +85,8 @@ class Delta2Spec:
     ey_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_set, ex_edges, ey_edges):
+        x_set, y_set, ex_edges, ey_edges = map(tuple, (x_set, y_set, ex_edges, ey_edges))
+        _check_ids(*x_set, *y_set, *itertools.chain(*ex_edges, *ey_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
         object.__setattr__(self, "y_set", tuple(sorted(y_set)))
         object.__setattr__(self, "ex_edges", _norm_edges(ex_edges))
@@ -167,6 +179,9 @@ def _separated(g: Graph, x: int, y: int) -> bool:
 
     That precondition gives g - xy at least 3 internally disjoint x-y
     paths, so only the 3-sets with one vertex on each of them are tried.
+    It also gives every component C of g - xy - S one of x and y: else
+    N_g(C) would lie in S, a 3-cut of g.  So S splits g - xy as asked
+    exactly when it leaves two components of at least 2 vertices each.
     """
     adj = list(g._adj)
     adj[x] &= ~(1 << y)
@@ -180,13 +195,7 @@ def _separated(g: Graph, x: int, y: int) -> bool:
         for c in s:
             alive &= ~(1 << c)
         comps = _components(adj, alive)
-        if len(comps) != 2:
-            continue
-        cx = next(c for c in comps if c >> x & 1)
-        cy = next(c for c in comps if c >> y & 1)
-        if cx == cy:
-            continue
-        if cx.bit_count() >= 2 and cy.bit_count() >= 2:
+        if len(comps) == 2 and min(c.bit_count() for c in comps) >= 2:
             return True
     return False
 

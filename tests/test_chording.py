@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -102,6 +103,23 @@ class TestClassify:
                     found += 1
                     assert verify_witness(g, w)
         assert found > 20
+
+    @pytest.mark.parametrize("change", [
+        {"path": (0, 1, 2, 6)},                                # a non-edge on the path
+        {"subpath_ends": (0, 6)},                              # an end off the path
+        {"subpath_ends": (1, 0)},                              # i >= j
+        {"fan": ((0, 3, 1), (0, 4, 1))},                       # two detours
+        {"fan": ((0, 3, 6, 1), (0, 4, 1), (0, 5, 1))},         # a non-edge on a detour
+        {"fan": ((0, 3, 4), (0, 4, 1), (0, 5, 1))},            # a detour to the wrong end
+        {"fan": ((0, 1), (0, 4, 1), (0, 5, 1))},               # the subpath as a detour
+        {"fan": ((0, 2, 1), (0, 4, 1), (0, 5, 1))},            # a detour through the path
+        {"fan": ((0, 3, 1), (0, 3, 4, 1), (0, 5, 1))},         # a shared inner vertex
+    ])
+    def test_mutated_witnesses_are_refused(self, change):
+        g = remove_edges(complete_graph(7), [(2, 6), (3, 6)])
+        w = chording.ChordingWitness((0, 1, 2), (0, 1), ((0, 3, 1), (0, 4, 1), (0, 5, 1)))
+        assert verify_witness(g, w)
+        assert not verify_witness(g, dataclasses.replace(w, **change))
 
     def test_witness_survives_in_supergraph(self):
         # removing edges away from a witness's vertices keeps the witness

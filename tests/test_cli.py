@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from unicon4 import (__version__, add_edges, canonical_cert, complete_graph, format_edge_list,
-                     format_graph6, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
-                     parse_graph6, square_of_cycle, trace_to_json)
+from unicon4 import (__version__, add_edges, canonical_cert, complete_graph, cycle_graph,
+                     format_edge_list, format_graph6, k6_minus_edge, octahedron, octahedron_plus,
+                     parse_edge_list, parse_graph6, square_of_cycle, trace_to_json)
 from unicon4 import chording, cli, connectivity, transform
 from unicon4.cli import main
 
@@ -48,6 +48,13 @@ class TestAnalyze:
         assert code == 1
         assert doc["uniform4"] is False
         assert doc["witness"]["kind"] == "five_fan" and len(doc["witness"]["paths"]) == 5
+
+    def test_low_connectivity_is_verdict_false_with_cut(self, capsys, tmp_path):
+        p = tmp_path / "c8.g6"
+        p.write_text(format_graph6(cycle_graph(8)) + "\n")
+        code, doc = run(capsys, "analyze", str(p))
+        assert code == 1 and doc["uniform4"] is False and doc["kappa"] == 2
+        assert doc["witness"]["kind"] == "cut" and len(doc["witness"]["vertices"]) == 2
 
     def test_malformed_input_exit_2(self, capsys, files):
         code, doc = run(capsys, "analyze", files["bad"])
@@ -127,6 +134,10 @@ class TestReduce:
         code, doc = run(capsys, "reduce", files["c6sq"], "--edge", "0,3")
         assert code == 2
 
+    def test_one_vertex_edge(self, capsys, files):
+        code, doc = run(capsys, "reduce", files["c6sq"], "--edge", "0")
+        assert code == 2 and doc["message"] == "--edge takes exactly two vertices, e.g. 0,1"
+
 
 class TestApply:
     def test_delta1_with_compat_check(self, capsys, files):
@@ -164,6 +175,17 @@ class TestApply:
                         "--x", "0,1,2", "--yset", "3,4,5", "--ex", "0-2", "--ey", "3-5")
         assert code == 0
         assert parse_graph6(doc["result_graph6"]).n == 8
+
+    @pytest.mark.parametrize("args, message", [
+        (["--op", "delta1", "--x", "0,a,2", "--y", "4", "--ex", "0-2"], "--x must be a comma-separated"),
+        (["--op", "delta1", "--x", "0,1,2", "--y", "4", "--ex", "0-1-2"], "--ex entries look like U-V"),
+        (["--op", "delta1", "--x", "0,1,2", "--y", "4", "--ex", "0-a"], "non-integer vertex in '0-a'"),
+        (["--op", "delta1", "--x", "0,1,2", "--ex", "0-2"], "delta1 needs --y"),
+        (["--op", "delta2", "--x", "0,1,2", "--ex", "0-2", "--ey", "3-5"], "delta2 needs --yset"),
+    ])
+    def test_malformed_parameters_exit_2(self, capsys, files, args, message):
+        code, doc = run(capsys, "apply", files["c6sq"], *args)
+        assert code == 2 and doc["error"] == "FormatError" and message in doc["message"]
 
     def test_budget_exceeded_exit_3(self, capsys, files):
         chording.clear_caches()

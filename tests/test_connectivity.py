@@ -100,6 +100,26 @@ def test_flow_paths_order_is_pinned():
         "9f7e2e0775d3f67e41fe17c8fae0d132685b691787143527f5ef008dd215d383")
 
 
+@pytest.mark.parametrize("n, edges, t, first, fan", [
+    # the second path enters 5 and runs back through 3, undoing its pass-through
+    (10, "0-1 0-2 1-3 1-6 3-5 2-4 4-5 5-8 6-7 7-9 9-8", 8,
+     [0, 1, 3, 5, 8], ((0, 1, 6, 7, 9, 8), (0, 2, 4, 5, 8))),
+    # the second path enters 4 and runs back from 3 to 2, against the arc 2 -> 3
+    (13, "0-1 1-2 2-3 3-4 4-5 0-6 6-7 7-8 8-4 1-9 9-10 10-11 11-12 12-5", 5,
+     [0, 1, 2, 3, 4, 5], ((0, 1, 9, 10, 11, 12, 5), (0, 6, 7, 8, 4, 5))),
+])
+def test_flow_cancels_the_first_path(n, edges, t, first, fan):
+    # the shortest first path blocks a second one, so the augmentation must
+    # run back along it; neither the pin above nor random graphs reach it
+    g = Graph(n, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    assert _flow_paths(g._adj, 0, t, 1, (1 << n) - 1, None) == [first]
+    assert disjoint_path_fan(g, 0, t, 2) == fan
+    assert disjoint_path_fan(g, 0, t, 3) is None
+    nx = pytest.importorskip("networkx")
+    local_node_connectivity = nx.algorithms.connectivity.local_node_connectivity
+    assert local_node_connectivity(_nx_graph(g), 0, t) == 2
+
+
 class TestVertexConnectivity:
     def test_complete_convention(self):
         assert vertex_connectivity(complete_graph(5)) == 4

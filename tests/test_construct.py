@@ -359,7 +359,7 @@ class TestGenerate:
             key_seen, spec_seen = set(), set()
             for i, (_, raw) in enumerate(keyed):
                 if i not in key_seen:
-                    images = {construct._key_image(raw, *t) for t in tables}
+                    images = {construct._key_image(raw, vbit) for vbit in tables}
                     assert images <= by_key.keys(), images - by_key.keys()
                     orbit = frozenset(by_key[key] for key in images)
                     key_orbits.add(orbit)
@@ -727,6 +727,14 @@ class TestTraces:
         with pytest.raises(StepInvalid) as err:
             replay(trace, check_compat=False)
         assert "uniformly" in err.value.cause
+
+    def test_replay_refuses_a_step_whose_op_names_the_other_kind(self):
+        # refused before the spec is applied, so the certificate is never read
+        spec = transform.Delta1Spec((0, 1, 2), 3, [(0, 1)])
+        trace = construct.ConstructionTrace("C5SQ", (construct.TraceStep("delta2", spec, b""),))
+        with pytest.raises(StepInvalid) as err:
+            replay(trace)
+        assert (err.value.index, err.value.cause) == (0, "op delta2 does not match spec kind")
 
 
 class TestVerifyTheorem:

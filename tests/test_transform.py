@@ -246,6 +246,16 @@ class TestDelta1:
             validate_delta1(cycle_graph(8), Delta1Spec((0, 1, 2), 4, [(0, 1)]))
         assert err.value.clause == "host-4-connected"
 
+    @pytest.mark.parametrize("spec, clause", [
+        (Delta1Spec((0, 0, 1), 4, [(0, 1)]), "x_set-three-distinct"),
+        (Delta1Spec((0, 1, 9), 4, [(0, 1)]), "x_set-in-host"),
+        (Delta1Spec((0, 3, 6), 1, [(0, 3)]), "ex-induced-nonempty"),  # an independent 3-set
+    ])
+    def test_shape_clauses_are_named(self, spec, clause):
+        with pytest.raises(SpecInvalid) as err:
+            validate_delta1(square_of_cycle(9), spec)
+        assert err.value.clause == clause
+
 
 class TestDelta2:
     def test_structural_postconditions(self):
@@ -326,6 +336,23 @@ class TestSpecKind:
         with pytest.raises(SpecInvalid) as err:
             apply_delta(h, (0, 1, 2))
         assert err.value.clause == "spec-kind"
+
+
+class TestVertexIds:
+    @pytest.mark.parametrize("make", [
+        lambda: Delta1Spec((0, 1, 2), 3.7, [(0, 1)]),
+        lambda: Delta1Spec((0, 1, 2), True, [(0, 1)]),
+        lambda: Delta1Spec((0, 1.5, 2), 5, [(0, 2)]),
+        lambda: Delta1Spec((0, 1, 2), 5, [(0, 2.0)]),
+        lambda: Delta2Spec((0, 1, 2), (4, 5, 6.0), [(0, 2)], [(4, 5)]),
+        lambda: Delta2Spec((0, 1, 2), (4, 5, 6), [(0, 2)], [(False, 5)]),
+    ])
+    def test_ids_that_are_not_ints_are_refused(self, make):
+        # int() once read 3.7 as vertex 3 and True as vertex 1, and a float
+        # in a 3-set reached the host's bit operations as a bare TypeError
+        with pytest.raises(SpecInvalid) as err:
+            apply_delta(square_of_cycle(8), make())
+        assert err.value.clause == "vertex-ids"
 
 
 class TestEveryClause:
