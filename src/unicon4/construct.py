@@ -20,8 +20,8 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, U
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canonical_cert,
-                         canonical_form, canonical_labeling, format_graph6,
-                         square_of_cycle, _cert_from, _form_from, _iso_from, _mask_bits)
+                         canonical_labeling, format_graph6, square_of_cycle, _canonical_search,
+                         _cert_from, _form_from, _iso_from, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
                         _clauses, _reduced, is_quasi_4_compatible)
 
@@ -323,20 +323,27 @@ def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
     return _degree5_forest(rows)
 
 
-def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
+# a census level: each class's canonical form, with generators of its
+# automorphism group, each as the bit of p(v) by vertex v
+Level = Dict[Graph, List[Tuple[int, ...]]]
+
+
+def _children(parent: Graph, maxdeg: int, gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
     """The one-vertex extensions of parent that keep the census bounds and
-    whose new vertex k has maximum degree.
+    whose new vertex k has maximum degree, one per orbit of the miss-sets
+    under the group that gens (each an automorphism of parent as the bit
+    of p(v) by vertex v) generates.
 
     k misses (in G) a set S of at most maxdeg vertices whose complement
-    degree is still below maxdeg, and sees every other vertex.  Each
-    miss-set is checked on masks, cheapest first, before any graph is
-    built or labeled.  First the degree: k gets degree k - |S| and no old
-    vertex may end above it, so no |S| is tried that an old vertex's
-    degree already exceeds, and an old vertex of degree k - |S| must lie
-    in S.  Then the common-neighbor bound of _oracle: k must not see both
-    ends of a pair already at it, and must keep it with each old vertex.
-    Last, the vertices of degree >= 5 must still induce a forest
-    (_degree5_forest).
+    degree is still below maxdeg, and sees every other vertex.  A miss-set
+    already in the orbit of a kept one is skipped; the rest are checked on
+    masks, cheapest first, before any graph is built or labeled.  First
+    the degree: k gets degree k - |S| and no old vertex may end above it,
+    so no |S| is tried that an old vertex's degree already exceeds, and an
+    old vertex of degree k - |S| must lie in S.  Then the common-neighbor
+    bound of _oracle: k must not see both ends of a pair already at it,
+    and must keep it with each old vertex.  Last, the vertices of degree
+    >= 5 must still induce a forest (_degree5_forest).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
@@ -345,12 +352,16 @@ def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
     tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
              if (adj[a] & adj[b]).bit_count() == (3 if adj[a] >> b & 1 else 4)]
     full = (1 << k) - 1
+    seen = set()  # the orbits of the kept miss masks
     for size in range(min(maxdeg, len(avail), k - max(deg)) + 1):
         top = sum(1 << v for v in range(k) if deg[v] == k - size)
         for miss in itertools.combinations(avail, size):
-            new = full
+            miss_mask = 0
             for v in miss:
-                new ^= 1 << v
+                miss_mask |= 1 << v
+            if miss_mask in seen:
+                continue
+            new = full ^ miss_mask
             if new & top:
                 continue
             if any(new & t == t for t in tight):
@@ -359,7 +370,20 @@ def _children(parent: Graph, maxdeg: int) -> Iterator[Graph]:
                 continue
             rows = [row | 1 << k if new >> u & 1 else row for u, row in enumerate(adj)] + [new]
             if _degree5_forest(rows):
+                todo = [miss_mask]
+                while todo:
+                    m = todo.pop()
+                    if m not in seen:
+                        seen.add(m)
+                        todo.extend(_mask_image(m, a) for a in gens)
                 yield Graph._of(rows)
+
+
+def _mask_image(mask: int, vbit: Tuple[int, ...]) -> int:
+    out = 0
+    for v in _mask_bits(mask):
+        out |= vbit[v]
+    return out
 
 
 def _oracle(n: int) -> Dict[bytes, Graph]:
@@ -386,18 +410,39 @@ def _oracle(n: int) -> Dict[bytes, Graph]:
     its new vertex has maximum degree, so _children keeps it.  So, with one
     canonical form kept per class, level k + 1 is every class on k + 1
     vertices that meets the bounds; duplicates reached from different
-    parents collapse there.  The classes on n vertices then pass the
-    authoritative uniformity test.  Only canonical labeling and the
-    connectivity layer are used; nothing from the expansion machinery is
-    consulted.
+    parents collapse there.  Each class also carries generators of its
+    automorphism group, which its canonical search records anyway (_grow).
+    If p is an automorphism of the parent, p extended by k -> k maps the
+    child that misses S onto the child that misses p(S); the three bounds
+    and the max-degree rule are invariant under p, so every image of a
+    kept miss-set would be kept too, with an isomorphic child, and
+    _children yields one child per orbit.  The classes on n vertices then
+    pass the authoritative uniformity test.  Only canonical labeling and
+    the connectivity layer are used; nothing from the expansion machinery
+    is consulted.
     """
     if not 5 <= n <= 10:
         raise GraphError("the census is supported for 5 <= n <= 10")
-    level = {Graph(1)}
+    level: Level = {Graph(1): []}
     for _ in range(1, n):
-        level = {canonical_form(child) for parent in level for child in _children(parent, n - 5)}
+        level = _grow(level, n - 5)
     # each member is its own canonical form, so its graph6 is its certificate
     return {format_graph6(g).encode("ascii"): g for g in level if is_uniformly_4_connected(g)[0]}
+
+
+def _grow(level: Level, maxdeg: int) -> Level:
+    """The next level of _oracle, from one labeled child per kept orbit."""
+    grown: Level = {}
+    for parent, gens in level.items():
+        for child in _children(parent, maxdeg, gens):
+            order, autos = _canonical_search(child)
+            form = _form_from(child, order)
+            if form not in grown:
+                # form vertex i is child vertex order[i], so an automorphism
+                # a of child is i -> pos[a[order[i]]] on the form
+                pos = {v: i for i, v in enumerate(order)}
+                grown[form] = [tuple(1 << pos[a[v]] for v in order) for a in autos]
+    return grown
 
 
 def brute_force_uniform(n: int) -> FrozenSet[bytes]:

@@ -378,7 +378,8 @@ class _CanonSearch:
         self.n = n
         self.best_code: Optional[int] = None
         self.best_order: Optional[Tuple[int, ...]] = None
-        self.autos: List[Dict[int, int]] = []
+        self.best_path: Tuple[int, ...] = ()
+        self.autos: List[Tuple[int, ...]] = []  # p as a tuple mapping v to p[v]
 
     def run(self) -> Tuple[int, ...]:
         full = (1 << self.n) - 1
@@ -388,65 +389,92 @@ class _CanonSearch:
             raise RuntimeError("canonical search reached no leaf")
         return self.best_order
 
-    def _descend(self, cells: List[int], fixed: List[int]) -> None:
+    def _descend(self, cells: List[int], fixed: List[int]) -> int:
+        # returns the depth to go back to: a node deeper than it returns at once
+        depth = len(fixed)
         if len(cells) == self.n:  # discrete: a leaf
             order = tuple(c.bit_length() - 1 for c in cells)
             code = _leaf_code(self.adj, order)
             if self.best_code is None or code < self.best_code:
-                self.best_code, self.best_order = code, order
-            elif code == self.best_code and order != self.best_order:
-                base = self.best_order
-                self.autos.append({base[i]: order[i] for i in range(self.n)})
-            return
+                self.best_code, self.best_order, self.best_path = code, order, tuple(fixed)
+            if code != self.best_code or order is self.best_order:  # no tie
+                return depth
+            # a tie: the automorphism best leaf -> this leaf maps the best
+            # path onto this path, so it fixes their common prefix and maps
+            # the explored child of the node where they part onto the child
+            # holding this leaf; the rest of that child is an image too
+            auto = [0] * self.n
+            for b, v in zip(self.best_order, order):
+                auto[b] = v
+            self.autos.append(tuple(auto))
+            return next(i for i, (b, v) in enumerate(zip(self.best_path, fixed)) if b != v)
         split_at = next(i for i, c in enumerate(cells) if c & (c - 1))
         cell = cells[split_at]
-        tried: List[int] = []
+        # orbit: the tried children, closed under the recorded automorphisms
+        # that fix the prefix pointwise; a child inside it would open an
+        # image of an explored subtree
+        orbit: set = set()
+        gens: List[Tuple[int, ...]] = []
+        known = 0  # the recorded automorphisms gens has seen
         for v in _mask_bits(cell):
-            if tried and v in self._orbit_closure(tried, fixed):
+            if len(self.autos) > known:
+                fresh = [a for a in self.autos[known:] if all(a[f] == f for f in fixed)]
+                known = len(self.autos)
+                gens += fresh
+                _extend(orbit, [a[u] for a in fresh for u in orbit], gens)
+            if v in orbit:
                 continue
-            tried.append(v)
+            _extend(orbit, [v], gens)
             split = cells[:split_at] + [1 << v, cell ^ (1 << v)] + cells[split_at + 1:]
-            self._descend(_refine(self.adj, split, [1 << v]), fixed + [v])
+            back = self._descend(_refine(self.adj, split, [1 << v]), fixed + [v])
+            if back < depth:
+                return back
+        return depth
 
-    def _orbit_closure(self, tried: List[int], fixed: List[int]) -> set:
-        # orbit of the explored siblings under the group generated by the
-        # automorphisms found so far that fix the individualized prefix
-        # pointwise; a candidate inside it would open an equivalent subtree
-        gens = [a for a in self.autos if all(a[f] == f for f in fixed)]
-        orbit = set(tried)
-        frontier = list(tried)
-        while frontier:
-            u = frontier.pop()
-            for a in gens:
-                w = a[u]
-                if w not in orbit:
-                    orbit.add(w)
-                    frontier.append(w)
-        return orbit
+
+def _extend(orbit: set, todo: List[int], gens: List[Tuple[int, ...]]) -> None:
+    """Add the vertices of todo to orbit, an orbit set closed under gens."""
+    while todo:
+        u = todo.pop()
+        if u not in orbit:
+            orbit.add(u)
+            todo.extend(a[u] for a in gens)
+
+
+def _canonical_search(g: Graph) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+    """g's canonical labeling and the automorphisms its search recorded,
+    which generate g's automorphism group (automorphism_group)."""
+    if g.n > MAX_ORDER:
+        raise GraphError(f"canonical labeling supported up to n={MAX_ORDER}, got {g.n}")
+    search = _CanonSearch(g._adj, g.n)
+    return search.run(), search.autos
 
 
 def canonical_labeling(g: Graph) -> Tuple[int, ...]:
     """Permutation as a tuple: position i holds the old id placed at i."""
-    if g.n > MAX_ORDER:
-        raise GraphError(f"canonical labeling supported up to n={MAX_ORDER}, got {g.n}")
-    return _CanonSearch(g._adj, g.n).run()
+    return _canonical_search(g)[0]
 
 
 def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     """Every automorphism of g as a tuple p mapping v to p[v], sorted.
 
     The canonical search records an automorphism for each leaf it reaches
-    that ties the best leaf, and prunes only subtrees that are images of
-    explored ones under recorded automorphisms.  So every leaf that ties
-    the best leaf is reached from it by a product of recorded ones, and
-    since an automorphism is fixed by where it sends the best leaf, the
-    records generate the whole group.
+    that ties the best leaf, goes back to the node where that leaf's path
+    parts from the best leaf's path, and skips a child that lies in the
+    orbit of the tried children under the recorded automorphisms that fix
+    the node's prefix.  The records still generate the whole group.  Let
+    b1..bm be the best leaf's path and G_i the automorphisms that fix
+    b1..bi.  The best leaf is the first leaf of least code in search
+    order, which no pruning skips, so the node b1..bi tries b_{i+1} before
+    any other child w in b_{i+1}'s G_i-orbit.  When it tries such a w, the
+    first image of the best leaf in w's subtree is reached, since a pruned
+    one would have an earlier tie there as its preimage, and that tie
+    records an automorphism in G_i that sends b_{i+1} to w.  A skipped w
+    lies in the recorded orbit of a tried one.  So the records in G_i are
+    transitive on the G_i-orbit of b_{i+1}, G_i is generated by them and
+    G_{i+1}, and G_m is trivial.
     """
-    if g.n > MAX_ORDER:
-        raise GraphError(f"automorphisms supported up to n={MAX_ORDER}, got {g.n}")
-    search = _CanonSearch(g._adj, g.n)
-    search.run()
-    gens = [tuple(a[v] for v in range(g.n)) for a in search.autos]
+    gens = _canonical_search(g)[1]
     group = {tuple(range(g.n))}
     frontier = list(group)
     while frontier:

@@ -51,6 +51,18 @@ def _norm_edges(edges) -> Tuple[Pair, ...]:
     return tuple(sorted({(u, v) if u < v else (v, u) for u, v in edges}))
 
 
+def _pairs(edges) -> tuple:
+    """The removed edges as a tuple, once each is a 2-item pair."""
+    try:
+        out = tuple(edges)
+        bad = [e for e in out if len(e) != 2]
+    except TypeError:
+        out, bad = (), [edges]
+    if bad:
+        raise SpecInvalid("edge-pairs", f"removed edges must be vertex pairs, got {bad}")
+    return out
+
+
 def _check_ids(*ids) -> None:
     """Refuse, before any sort, a vertex id that is not exactly an int: a
     float or a bool would otherwise be read as some other vertex."""
@@ -68,7 +80,7 @@ class Delta1Spec:
     ex_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_vertex, ex_edges):
-        x_set, ex_edges = tuple(x_set), tuple(ex_edges)
+        x_set, ex_edges = tuple(x_set), _pairs(ex_edges)
         _check_ids(*x_set, y_vertex, *itertools.chain(*ex_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
         object.__setattr__(self, "y_vertex", y_vertex)
@@ -85,7 +97,7 @@ class Delta2Spec:
     ey_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_set, ex_edges, ey_edges):
-        x_set, y_set, ex_edges, ey_edges = map(tuple, (x_set, y_set, ex_edges, ey_edges))
+        x_set, y_set, ex_edges, ey_edges = tuple(x_set), tuple(y_set), _pairs(ex_edges), _pairs(ey_edges)
         _check_ids(*x_set, *y_set, *itertools.chain(*ex_edges, *ey_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
         object.__setattr__(self, "y_set", tuple(sorted(y_set)))

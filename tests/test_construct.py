@@ -123,19 +123,68 @@ class TestOracle:
         for n in range(5, 9):
             assert construct._oracle(n) == reference.census_without_pruning(n), n
 
+    @staticmethod
+    def _count_searches(monkeypatch, n):
+        """(labeled children, search nodes) of census(n)."""
+        labeled, nodes = [], []
+        search, descend = construct._canonical_search, graph_core._CanonSearch._descend
+        monkeypatch.setattr(construct, "_canonical_search", lambda g: labeled.append(g) or search(g))
+        monkeypatch.setattr(graph_core._CanonSearch, "_descend",
+                            lambda s, *args: nodes.append(s) or descend(s, *args))
+        brute_force_uniform(n)
+        return len(labeled), len(nodes)
+
     def test_census_labels_only_pruned_children(self, monkeypatch):
-        # the children of census(8) that pass every mask check, each labeled
-        # once; 1,691 before the max-degree rule and the forest test
-        calls = []
-        real = construct.canonical_form
+        # the children of census(8) that pass every mask check, one per orbit
+        # of miss-sets under the parent's automorphisms, each labeled once:
+        # 1,691 before the max-degree rule and the forest test, and 385, in
+        # 2,243 search nodes, before the orbits and first-path pruning
+        assert self._count_searches(monkeypatch, 8) == (242, 1411)
 
-        def counting(g):
-            calls.append(g)
-            return real(g)
+    def test_census9_labels_one_child_per_orbit(self, monkeypatch):
+        # 3,765, in 14,526 search nodes, before the orbits and first-path pruning
+        assert self._count_searches(monkeypatch, 9) == (2527, 9836)
 
-        monkeypatch.setattr(construct, "canonical_form", counting)
-        assert len(brute_force_uniform(8)) == 10
-        assert len(calls) == 385
+    @staticmethod
+    def _levels(n):
+        """The levels of census(n), on 1 to n vertices."""
+        level = {Graph(1): []}
+        yield level
+        for _ in range(1, n):
+            level = construct._grow(level, n - 5)
+            yield level
+
+    def test_carried_generators_generate_each_group(self):
+        # every class of every level of census(8), with generators in its
+        # canonical form's coordinates
+        checked = 0
+        for level in self._levels(8):
+            for form, gens in level.items():
+                perms = [tuple(b.bit_length() - 1 for b in vbit) for vbit in gens]
+                group = {tuple(range(form.n))}
+                frontier = list(group)
+                while frontier:
+                    p = frontier.pop()
+                    for s in perms:
+                        q = tuple(s[x] for x in p)
+                        if q not in group:
+                            group.add(q)
+                            frontier.append(q)
+                for p in perms:
+                    assert relabel(form, dict(enumerate(p))) == form
+                assert len(group) == len(graph_core.automorphism_group(form)), format_graph6(form)
+                checked += 1
+        assert checked == 1 + 2 + 4 + 11 + 23 + 51 + 70 + 31
+
+    def test_orbits_keep_every_child_class(self):
+        # level by level, the children kept with the generators fall into
+        # the same classes as those kept without them
+        for n in range(5, 9):
+            for level in itertools.islice(self._levels(n), n - 1):
+                for parent, gens in level.items():
+                    kept = {canonical_cert(c) for c in construct._children(parent, n - 5, gens)}
+                    alone = {canonical_cert(c) for c in construct._children(parent, n - 5, [])}
+                    assert kept == alone, (n, format_graph6(parent))
 
     def test_degree5_forest(self):
         def rows(g):
@@ -704,6 +753,13 @@ class TestTraces:
                 lambda d: d["steps"][0].update(op="delta1", y_vertex=3.7),
                 lambda d: d["steps"][0].update(op="delta1", y_vertex=True),
                 lambda d: d["steps"][0].update(ex_edges=[[2, 3.0]]),
+                # removed edges that are not pairs
+                lambda d: d["steps"][0].update(ex_edges=[[0, 1, 2]]),
+                lambda d: d["steps"][0].update(ex_edges=[[0]]),
+                lambda d: d["steps"][0].update(ex_edges=[0]),
+                lambda d: d["steps"][0].update(ex_edges=5),
+                lambda d: d["steps"][0].update(ey_edges=[[0, 1, 4]]),
+                lambda d: d["steps"][0].update(op="delta1", y_vertex=5, ex_edges=[[2, 3, 4]]),
         ):
             doc = json.loads(good)
             breaker(doc)

@@ -376,6 +376,28 @@ class TestCanonical:
         assert digest.hexdigest() == (
             "22b98acde9e11e087aaa7648b25531de4557134a486e4e0d7ef22a6425d9768a")
 
+    @staticmethod
+    def _nodes(monkeypatch, graphs):
+        """The canonical search nodes of each graph's labeling."""
+        nodes = []
+        descend = graph_core._CanonSearch._descend
+        monkeypatch.setattr(graph_core._CanonSearch, "_descend",
+                            lambda s, *args: nodes.append(s) or descend(s, *args))
+        counts = []
+        for g in graphs:
+            del nodes[:]
+            graph_core.canonical_labeling(g)
+            counts.append(len(nodes))
+        return counts
+
+    def test_search_nodes_pinned(self, monkeypatch):
+        # first-path pruning: a tie with the best leaf returns to the node
+        # where the two paths part.  Before it, C5^2..C16^2 took
+        # 25, 16, then 7 each, and the classes of census(8), in certificate
+        # order, 51, 6, 6, 19, 3, 11, 3, 14, 9, 4
+        assert self._nodes(monkeypatch, [square_of_cycle(n) for n in range(5, 17)]) == [15, 10] + [6] * 10
+        assert self._nodes(monkeypatch, oracle_graphs(8)) == [34, 6, 6, 19, 3, 11, 3, 10, 8, 4]
+
 
 class TestAgainstNetworkx:
     """Certificates and graph6 against networkx, which shares no code with

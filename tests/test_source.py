@@ -149,6 +149,19 @@ def test_clauses_are_checked_only_on_outside_specs():
     assert found == CLAUSE_CALLERS
 
 
+# the canonical search is built in one helper, which returns the labeling
+# and the recorded automorphisms; every labeling, automorphism group and
+# census generator set reads them from there.  May only shrink.
+CANON_SEARCH_CALLERS = {"graph_core._canonical_search"}
+
+
+def test_canonical_search_is_built_in_one_helper():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _flow_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, "_CanonSearch")
+    assert found == CANON_SEARCH_CALLERS
+
+
 # every path enumeration goes through the one sweep, and only the one
 # truncation test asks for the path-count bound, so no enumeration site
 # can skip the per-sweep test.  May only shrink.

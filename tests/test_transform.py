@@ -355,6 +355,24 @@ class TestVertexIds:
         assert err.value.clause == "vertex-ids"
 
 
+class TestEdgePairs:
+    MALFORMED = [
+        lambda: Delta1Spec((0, 1, 2), 3, [(0, 1, 2)]),
+        lambda: Delta1Spec((0, 1, 2), 3, [(0,)]),
+        lambda: Delta1Spec((0, 1, 2), 3, [0]),
+        lambda: Delta1Spec((0, 1, 2), 3, 5),
+        lambda: Delta2Spec((0, 1, 2), (3, 4, 5), [(0, 1)], [(3, 4, 5)]),
+        lambda: Delta2Spec((0, 1, 2), (3, 4, 5), 7, [(3, 4)]),
+    ]
+
+    @pytest.mark.parametrize("make", MALFORMED)
+    def test_a_removed_edge_that_is_not_a_pair_is_refused(self, make):
+        # each once escaped as a bare ValueError or TypeError from unpacking
+        with pytest.raises(SpecInvalid) as err:
+            make()
+        assert err.value.clause == "edge-pairs"
+
+
 class TestEveryClause:
     def test_outcome_of_every_spec_is_pinned(self):
         # each spec of both types on five small hosts, one of them not
