@@ -287,10 +287,7 @@ def _check_missing_edge(g: Graph, e: Pair) -> None:
 def is_e_plus_quasi_3cc(g: Graph, path: Sequence[int], e: Pair) -> bool:
     """True iff the path is not quasi 3-circuit chording but becomes so in g+e."""
     p = validate_path(g, path)
-    _check_missing_edge(g, e)
-    for x, y in zip(p, p[1:]):
-        if {x, y} == set(e):
-            raise GraphError("the added edge may not be an edge of the path")
+    _check_missing_edge(g, e)  # so e is no edge of the path, whose pairs are edges of g
     return _eplus_hits(g, p, e, _plus_edge(g, e)) is not None
 
 

@@ -15,13 +15,13 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, automorphism_group, canonical_cert,
-                         canonical_labeling, format_graph6, square_of_cycle, _canonical_search,
-                         _cert_from, _form_from, _iso_from, _mask_bits)
+from .graph_core import (Graph, GraphError, add_edges, canonical_cert, canonical_labeling,
+                         format_graph6, square_of_cycle, _canonical_search, _cert_from, _form_from,
+                         _group, _iso_from, _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
                         _clauses, _reduced, is_quasi_4_compatible)
 
@@ -29,7 +29,8 @@ TRACE_SCHEMA = "unicon4.trace/v1"
 
 BASE_TAGS = ("C5SQ", "C6SQ")
 
-# each base's certificate and canonical labeling, which never change
+# each base's certificate and canonical labeling, which never change; decompose
+# stops at them without a search
 _BASES = {"C5SQ": (b"D~{", (0, 1, 2, 3, 4)), "C6SQ": (b"E]~o", (0, 3, 1, 4, 2, 5))}
 
 # candidates decompose examines before giving up (K4,4 exhausts its search after 784)
@@ -286,13 +287,30 @@ def decompose(g: Graph) -> ConstructionTrace:
     return ConstructionTrace(tag, tuple(steps))
 
 
-def _map_spec(spec: CompatSet, iso: Union[Dict[int, int], Tuple[int, ...]]) -> CompatSet:
+def _map_spec(spec: CompatSet, iso: Dict[int, int]) -> CompatSet:
     def me(edges):
         return tuple((iso[a], iso[b]) for a, b in edges)
     if isinstance(spec, Delta1Spec):
         return Delta1Spec(tuple(iso[v] for v in spec.x_set), iso[spec.y_vertex], me(spec.ex_edges))
     return Delta2Spec(tuple(iso[v] for v in spec.x_set), tuple(iso[v] for v in spec.y_set),
                       me(spec.ex_edges), me(spec.ey_edges))
+
+
+# -- labeled classes ---------------------------------------------------------------
+
+# a class as the census and generation keep it: its canonical form, with
+# generators of its automorphism group, each a tuple p mapping form vertex v to p[v]
+Labeled = Tuple[Graph, List[Tuple[int, ...]]]
+
+
+def _labeled(g: Graph) -> Labeled:
+    """g's class, from one canonical search: form vertex i is g's vertex
+    order[i], so an automorphism a that the search recorded on g is
+    i -> pos[a[order[i]]] on the form.  The recorded automorphisms generate
+    the whole group (automorphism_group)."""
+    order, autos = _canonical_search(g)
+    pos = {v: i for i, v in enumerate(order)}
+    return _form_from(g, order), [tuple(pos[a[v]] for v in order) for a in autos]
 
 
 # -- census oracle ----------------------------------------------------------------
@@ -323,16 +341,15 @@ def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
     return _degree5_forest(rows)
 
 
-# a census level: each class's canonical form, with generators of its
-# automorphism group, each as the bit of p(v) by vertex v
+# a census level: each class's canonical form, with its generators (Labeled)
 Level = Dict[Graph, List[Tuple[int, ...]]]
 
 
 def _children(parent: Graph, maxdeg: int, gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
     """The one-vertex extensions of parent that keep the census bounds and
     whose new vertex k has maximum degree, one per orbit of the miss-sets
-    under the group that gens (each an automorphism of parent as the bit
-    of p(v) by vertex v) generates.
+    under the group that gens (automorphisms of parent, each a tuple p
+    mapping v to p[v]) generates.
 
     k misses (in G) a set S of at most maxdeg vertices whose complement
     degree is still below maxdeg, and sees every other vertex.  A miss-set
@@ -375,15 +392,8 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[Tuple[int, ...]]) -> It
                     m = todo.pop()
                     if m not in seen:
                         seen.add(m)
-                        todo.extend(_mask_image(m, a) for a in gens)
+                        todo.extend(sum(1 << a[v] for v in _mask_bits(m)) for a in gens)
                 yield Graph._of(rows)
-
-
-def _mask_image(mask: int, vbit: Tuple[int, ...]) -> int:
-    out = 0
-    for v in _mask_bits(mask):
-        out |= vbit[v]
-    return out
 
 
 def _oracle(n: int) -> Dict[bytes, Graph]:
@@ -411,7 +421,7 @@ def _oracle(n: int) -> Dict[bytes, Graph]:
     canonical form kept per class, level k + 1 is every class on k + 1
     vertices that meets the bounds; duplicates reached from different
     parents collapse there.  Each class also carries generators of its
-    automorphism group, which its canonical search records anyway (_grow).
+    automorphism group, which its canonical search records anyway (_labeled).
     If p is an automorphism of the parent, p extended by k -> k maps the
     child that misses S onto the child that misses p(S); the three bounds
     and the max-degree rule are invariant under p, so every image of a
@@ -435,13 +445,8 @@ def _grow(level: Level, maxdeg: int) -> Level:
     grown: Level = {}
     for parent, gens in level.items():
         for child in _children(parent, maxdeg, gens):
-            order, autos = _canonical_search(child)
-            form = _form_from(child, order)
-            if form not in grown:
-                # form vertex i is child vertex order[i], so an automorphism
-                # a of child is i -> pos[a[order[i]]] on the form
-                pos = {v: i for i, v in enumerate(order)}
-                grown[form] = [tuple(1 << pos[a[v]] for v in order) for a in autos]
+            form, autos = _labeled(child)
+            grown.setdefault(form, autos)
     return grown
 
 
@@ -538,11 +543,6 @@ def _spec(raw: tuple) -> CompatSet:
     return Delta2Spec(side[0], other[0], _edges(side), _edges(other))
 
 
-def _key_tables(h: Graph) -> List[Tuple[int, ...]]:
-    """For each automorphism p of h, the bit of p(v) by vertex v."""
-    return [tuple(1 << v for v in p) for p in automorphism_group(h)]
-
-
 def _side_image(side: Side, vbit: Tuple[int, ...]) -> SideKey:
     (a, b, c), missed = side
     mm = 0
@@ -572,37 +572,43 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     which name each removed edge by the 3-set vertex it misses (described
     above _triples), and a spec object is built only for the first spec of
     each orbit, to be checked; the key of each of its images is a few ORs
-    of the automorphism's vertex bits (_key_tables), and every image key is
-    mapped to the outcome.  A delta-2 key is the unordered pair of its
-    side keys.  That is exact: the delta-2 clauses and compatibility
+    of the automorphism's vertex bits, and every image key is mapped to the
+    outcome.  The group is closed from the generators that each class's one
+    canonical search recorded (_labeled), kept next to its form; the bases
+    are labeled like any other class.  A delta-2 key is the unordered pair
+    of its side keys.  That is exact: the delta-2 clauses and compatibility
     conditions are symmetric in the two sides, and swapping the sides only
-    swaps the labels of the two new vertices, so both orders of a pair
-    have the same outcome.  A sweep the budget
-    truncates keeps the first max_paths paths in label order, which an
-    automorphism does not preserve; so the outcome is reused only when no
-    sweep on the host can be truncated (max_len None or at least the host
-    order, and max_paths at least the path count of the complete graph on
-    that many vertices), and otherwise every spec is checked on its own.
-    Soundness failures are still reported once per failing spec, in
-    enumeration order.
+    swaps the labels of the two new vertices, so both orders of a pair have
+    the same outcome.  A sweep the budget truncates keeps the first
+    max_paths paths in label order, which an automorphism does not
+    preserve; so the outcome is reused only when no sweep on the host can
+    be truncated (max_len None or at least the host order, and max_paths at
+    least the path count of the complete graph on that many vertices), and
+    otherwise every spec is checked on its own.  Soundness failures are
+    still reported once per failing spec, in enumeration order.
     """
     if not 5 <= n_max <= 10:
         raise GraphError("generation is supported for 5 <= n_max <= 10")
-    by_n: Dict[int, Dict[bytes, Graph]] = {n: {} for n in range(5, n_max + 1)}
-    for tag in BASE_TAGS:
-        b = base_graph(tag)
-        if b.n <= n_max:
-            cert, order = _BASES[tag]
-            by_n[b.n][cert] = _form_from(b, order)
+    by_n: Dict[int, Dict[bytes, Labeled]] = {n: {} for n in range(5, n_max + 1)}
     budget_hits = 0
     failures: List[Tuple[bytes, str]] = []
-    # the certificate of each labeled output, so that an output several
+    # the certificate of each labeled graph, so that an output several
     # specs give is labeled once
     certs: Dict[Graph, bytes] = {}
 
+    def certify(g: Graph, uniform: bool) -> bytes:
+        """g's certificate; a uniform g's class joins the catalog."""
+        cert = certs.get(g)
+        if cert is None:
+            form, gens = _labeled(g)
+            cert = certs[g] = format_graph6(form).encode("ascii")
+            if uniform and cert not in by_n[g.n]:
+                by_n[g.n][cert] = form, gens
+        return cert
+
     def outcome(host: Graph, spec: CompatSet) -> Optional[Tuple[bytes, bool]]:
         """None when the spec gives no output, else the output's certificate
-        and uniformity; a uniform output joins the catalog."""
+        and uniformity."""
         try:
             reduced = _clauses(host, spec)  # host is a base or a checked output: 4-connected
         except SpecInvalid:
@@ -611,18 +617,17 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
             return None
         out = _attach(reduced, spec)
         uniform = is_uniformly_4_connected(out)[0]
-        cert = certs.get(out)
-        if cert is None:
-            order = canonical_labeling(out)
-            cert = certs[out] = _cert_from(out, order)
-            if uniform and cert not in by_n[out.n]:
-                by_n[out.n][cert] = _form_from(out, order)
-        return cert, uniform
+        return certify(out, uniform), uniform
 
+    for b in map(base_graph, BASE_TAGS):
+        if b.n <= n_max:
+            certify(b, True)
     for n in range(5, n_max):  # a host of order n_max has no spec
         for cert in sorted(by_n[n]):
-            host = by_n[n][cert]
-            tables = () if _can_truncate(budget, n) else _key_tables(host)
+            host, gens = by_n[n][cert]
+            # each automorphism p of the host as the bit of p(v) by vertex v
+            tables = () if _can_truncate(budget, n) else [
+                tuple(1 << v for v in p) for p in _group(gens, n)]
             known: Dict[tuple, Optional[Tuple[bytes, bool]]] = {}
             for key, raw in _keyed_specs(host, delta2=n + 2 <= n_max):
                 if key in known:
@@ -638,9 +643,7 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
                 if result is not None and not result[1]:
                     failures.append((result[0], repr(_spec(raw))))
 
-    reps: Dict[bytes, Graph] = {}
-    for n in range(5, n_max + 1):
-        reps.update(by_n[n])
+    reps = {cert: form for n in range(5, n_max + 1) for cert, (form, _) in by_n[n].items()}
     return GenerationResult(
         n_max=n_max,
         certs_by_n={n: frozenset(by_n[n]) for n in range(5, n_max + 1)},

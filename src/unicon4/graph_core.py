@@ -474,8 +474,12 @@ def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     transitive on the G_i-orbit of b_{i+1}, G_i is generated by them and
     G_{i+1}, and G_m is trivial.
     """
-    gens = _canonical_search(g)[1]
-    group = {tuple(range(g.n))}
+    return _group(_canonical_search(g)[1], g.n)
+
+
+def _group(gens: Sequence[Tuple[int, ...]], n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The group that gens, permutations of 0..n-1 as tuples, generate, sorted."""
+    group = {tuple(range(n))}
     frontier = list(group)
     while frontier:
         p = frontier.pop()

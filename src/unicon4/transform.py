@@ -63,6 +63,14 @@ def _pairs(edges) -> tuple:
     return out
 
 
+def _three_set(ids) -> tuple:
+    """A 3-set's ids as a tuple, once they are a collection."""
+    try:
+        return tuple(ids)
+    except TypeError:
+        raise SpecInvalid("vertex-ids", f"a 3-set must be a collection of vertex ids, got {ids!r}") from None
+
+
 def _check_ids(*ids) -> None:
     """Refuse, before any sort, a vertex id that is not exactly an int: a
     float or a bool would otherwise be read as some other vertex."""
@@ -80,7 +88,7 @@ class Delta1Spec:
     ex_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_vertex, ex_edges):
-        x_set, ex_edges = tuple(x_set), _pairs(ex_edges)
+        x_set, ex_edges = _three_set(x_set), _pairs(ex_edges)
         _check_ids(*x_set, y_vertex, *itertools.chain(*ex_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
         object.__setattr__(self, "y_vertex", y_vertex)
@@ -97,7 +105,8 @@ class Delta2Spec:
     ey_edges: Tuple[Pair, ...]
 
     def __init__(self, x_set, y_set, ex_edges, ey_edges):
-        x_set, y_set, ex_edges, ey_edges = tuple(x_set), tuple(y_set), _pairs(ex_edges), _pairs(ey_edges)
+        x_set, y_set = _three_set(x_set), _three_set(y_set)
+        ex_edges, ey_edges = _pairs(ex_edges), _pairs(ey_edges)
         _check_ids(*x_set, *y_set, *itertools.chain(*ex_edges, *ey_edges))
         object.__setattr__(self, "x_set", tuple(sorted(x_set)))
         object.__setattr__(self, "y_set", tuple(sorted(y_set)))

@@ -363,6 +363,13 @@ class TestEPlus:
         with pytest.raises(GraphError):
             is_e_plus_quasi_3cc(octahedron(), (0, 1), (0, 2))
 
+    def test_a_path_edge_is_refused_as_present(self):
+        # every pair of a valid path is an edge of g, so an added edge on the
+        # path is refused by the missing-edge check, in either order
+        for e in ((1, 2), (2, 1)):
+            with pytest.raises(GraphError, match="already present"):
+                is_e_plus_quasi_3cc(octahedron(), (0, 1, 2), e)
+
     def test_already_chording_is_not_e_plus(self):
         g = remove_edges(complete_graph(6), [(4, 5)])
         assert classify_quasi_3cc(g, (0, 1)) is not None

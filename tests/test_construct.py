@@ -154,27 +154,31 @@ class TestOracle:
             level = construct._grow(level, n - 5)
             yield level
 
-    def test_carried_generators_generate_each_group(self):
-        # every class of every level of census(8), with generators in its
-        # canonical form's coordinates
-        checked = 0
-        for level in self._levels(8):
-            for form, gens in level.items():
-                perms = [tuple(b.bit_length() - 1 for b in vbit) for vbit in gens]
-                group = {tuple(range(form.n))}
-                frontier = list(group)
-                while frontier:
-                    p = frontier.pop()
-                    for s in perms:
-                        q = tuple(s[x] for x in p)
-                        if q not in group:
-                            group.add(q)
-                            frontier.append(q)
-                for p in perms:
-                    assert relabel(form, dict(enumerate(p))) == form
-                assert len(group) == len(graph_core.automorphism_group(form)), format_graph6(form)
-                checked += 1
-        assert checked == 1 + 2 + 4 + 11 + 23 + 51 + 70 + 31
+    def test_carried_generators_generate_each_group(self, monkeypatch):
+        # every class of every level of census(8), and every class that the
+        # n = 8 closure keeps, with generators in its canonical form's
+        # coordinates; the group is closed here, apart from graph_core._group
+        classes = [item for level in self._levels(8) for item in level.items()]
+        assert len(classes) == 1 + 2 + 4 + 11 + 23 + 51 + 70 + 31
+        labeled, real = [], construct._labeled
+        monkeypatch.setattr(construct, "_labeled", lambda g: labeled.append(real(g)) or labeled[-1])
+        forms = set(generate_catalog(8).representatives.values())
+        assert len(forms) == 14
+        kept = [(form, gens) for form, gens in labeled if form in forms]
+        assert {form for form, _ in kept} == forms
+        for form, gens in classes + kept:
+            group = {tuple(range(form.n))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for s in gens:
+                    q = tuple(s[x] for x in p)
+                    if q not in group:
+                        group.add(q)
+                        frontier.append(q)
+            for p in gens:
+                assert relabel(form, dict(enumerate(p))) == form
+            assert len(group) == len(graph_core.automorphism_group(form)), format_graph6(form)
 
     def test_orbits_keep_every_child_class(self):
         # level by level, the children kept with the generators fall into
@@ -294,10 +298,9 @@ class TestGenerate:
         assert canonical_cert(replay(decompose(g))) == canonical_cert(g)
         assert calls == []
 
-    def test_each_output_is_labeled_once(self, monkeypatch):
-        # one search per host automorphism group and per distinct labeled
-        # output, the bases being read off construct._BASES: 62 when every
-        # output was labeled twice, 35 when each base was labeled too
+    @staticmethod
+    def _count_labelings(monkeypatch, n):
+        """(canonical searches, certificates by order) of a cold generate_catalog(n)."""
         calls = []
         real = graph_core._CanonSearch.run
 
@@ -306,9 +309,19 @@ class TestGenerate:
             return real(search)
 
         monkeypatch.setattr(graph_core._CanonSearch, "run", counting)
-        cat = generate_catalog(8)
-        assert len(cat.certs_by_n[8]) == 8
-        assert len(calls) == 33
+        cat = generate_catalog(n)
+        return len(calls), {k: len(v) for k, v in cat.certs_by_n.items()}
+
+    def test_each_output_is_labeled_once(self, monkeypatch):
+        # one search per base and per distinct labeled output, which also
+        # gives each class its automorphism group: 62 when every output was
+        # labeled twice, 35 when each base was labeled too, 33 when each
+        # host's group came from a second search
+        assert self._count_labelings(monkeypatch, 8) == (29, {5: 1, 6: 1, 7: 4, 8: 8})
+
+    def test_closure9_labels_each_class_once(self, monkeypatch):
+        # 289 when each host's group came from a second search
+        assert self._count_labelings(monkeypatch, 9) == (277, {5: 1, 6: 1, 7: 4, 8: 8, 9: 45})
 
     def test_local_connectivity_counts_before_it_flows(self, monkeypatch):
         # the edge, the common neighbours and the degree cap settle most
@@ -390,19 +403,22 @@ class TestGenerate:
     def test_spec_keys_match_the_reference_orbits(self):
         # on every host of the n = 8 closure, three n = 8 hosts of closure(9),
         # C9^2 (a host of closure(10)) and three fixed hosts: each enumerated
-        # spec has its own key, and imaging keys through the automorphism
-        # tables gives the orbits that imaging spec objects does
+        # spec of its canonical form has its own key, and imaging keys through
+        # the vertex-bit tables of the group that the form's generators
+        # (construct._labeled) generate gives the orbits that imaging spec
+        # objects by every automorphism does
         cat = generate_catalog(8)
         hosts = [cat.representatives[c] for n in (5, 6, 7, 8)
                  for c in sorted(cat.certs_by_n[n])[:None if n < 8 else 3]]
         hosts += [square_of_cycle(9), complete_graph(5), octahedron(), octahedron_plus()]
         for h in hosts:
+            h, gens = construct._labeled(h)
             keyed = list(construct._keyed_specs(h))
             specs = [construct._spec(raw) for _, raw in keyed]
             by_key = {key: i for i, (key, _) in enumerate(keyed)}
             by_spec = {spec: i for i, spec in enumerate(specs)}
             assert len(by_key) == len(by_spec) == len(specs)
-            tables = construct._key_tables(h)
+            tables = [tuple(1 << v for v in p) for p in graph_core._group(gens, h.n)]
             perms = graph_core.automorphism_group(h)
             key_orbits, spec_orbits = set(), set()
             key_seen, spec_seen = set(), set()
@@ -760,6 +776,10 @@ class TestTraces:
                 lambda d: d["steps"][0].update(ex_edges=5),
                 lambda d: d["steps"][0].update(ey_edges=[[0, 1, 4]]),
                 lambda d: d["steps"][0].update(op="delta1", y_vertex=5, ex_edges=[[2, 3, 4]]),
+                # 3-sets that are not collections
+                lambda d: d["steps"][0].update(x_set=5),
+                lambda d: d["steps"][0].update(x_set=None),
+                lambda d: d["steps"][0].update(op="delta2", y_set=7, ey_edges=[]),
         ):
             doc = json.loads(good)
             breaker(doc)

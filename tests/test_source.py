@@ -162,6 +162,22 @@ def test_canonical_search_is_built_in_one_helper():
     assert found == CANON_SEARCH_CALLERS
 
 
+# a class's automorphism group is closed from the generators that the search
+# labeling it recorded, so no module calls automorphism_group, which would
+# search the class a second time; it is public API only.  May only shrink.
+GROUP_CALLERS = {
+    "automorphism_group": set(),
+    "_group": {"graph_core.automorphism_group", "construct.generate_catalog"},
+}
+
+
+def test_groups_are_closed_from_recorded_generators():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    for callee, callers in GROUP_CALLERS.items():
+        found = set().union(*(_flow_callers(tree, module, callee) for module, tree in trees.items()))
+        assert found == callers, callee
+
+
 # every path enumeration goes through the one sweep, and only the one
 # truncation test asks for the path-count bound, so no enumeration site
 # can skip the per-sweep test.  May only shrink.

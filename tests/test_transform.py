@@ -355,6 +355,18 @@ class TestVertexIds:
         assert err.value.clause == "vertex-ids"
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: Delta1Spec(5, 3, []),
+        lambda: Delta1Spec(None, 3, [(0, 1)]),
+        lambda: Delta2Spec((0, 1, 2), 7, [], []),
+    ])
+    def test_a_3set_that_is_not_a_collection_is_refused(self, make):
+        # each once escaped as a bare TypeError from tuple()
+        with pytest.raises(SpecInvalid) as err:
+            make()
+        assert err.value.clause == "vertex-ids"
+
+
 class TestEdgePairs:
     MALFORMED = [
         lambda: Delta1Spec((0, 1, 2), 3, [(0, 1, 2)]),
