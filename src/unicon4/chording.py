@@ -34,39 +34,42 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .connectivity import _check_pair, _flow_paths, _local_conn
 from .graph_core import Graph, GraphError, _mask_bits
 
-PathVerts = Tuple[int, ...]
-Pair = Tuple[int, int]
+PathVerts = tuple[int, ...]
+Pair = tuple[int, int]
 
 
 class BudgetExceeded(RuntimeError):
     """Search space exceeded the budget; the query is unresolved, not false."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_paths: int = 1_000_000
-    max_len: Optional[int] = None  # max vertices per path; None = graph order
+class SearchBudget(namedtuple("SearchBudget", "max_paths max_len")):
+    """max_paths caps the paths of one sweep; max_len caps the vertices per
+    path, None meaning the graph order."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields = (self.max_paths,) if self.max_len is None else (self.max_paths, self.max_len)
+    def __new__(cls, max_paths: int = 1_000_000, max_len: int | None = None):
+        fields = (max_paths,) if max_len is None else (max_paths, max_len)
         if any(not isinstance(f, int) or isinstance(f, bool) or f <= 0 for f in fields):
             raise GraphError("search budget fields must be positive integers")
+        return super().__new__(cls, max_paths, max_len)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class ChordingWitness:
-    path: PathVerts
-    subpath_ends: Pair
-    fan: Tuple[PathVerts, PathVerts, PathVerts]
+class ChordingWitness(namedtuple("ChordingWitness", "path subpath_ends fan")):
+    """A path, the ends (a, b) of its chorded subpath, and three a-b paths around it."""
+    __slots__ = ()
 
 
 def validate_path(g: Graph, path: Sequence[int]) -> PathVerts:
@@ -86,15 +89,15 @@ def validate_path(g: Graph, path: Sequence[int]) -> PathVerts:
 
 @functools.lru_cache(maxsize=512)
 def _simple_paths(g: Graph, u: int, v: int, max_paths: int,
-                  max_len: int) -> Tuple[Tuple[PathVerts, ...], bool]:
+                  max_len: int) -> tuple[tuple[PathVerts, ...], bool]:
     """All simple u-v paths sorted by (length, lex); second item is False
     when the budget truncated the sweep."""
-    paths: List[PathVerts] = []
+    paths: list[PathVerts] = []
     complete = True
     adj = g._adj
     target_bit = 1 << v
 
-    def dfs(stack: List[int], seen: int) -> bool:
+    def dfs(stack: list[int], seen: int) -> bool:
         nonlocal complete
         here = stack[-1]
         nbrs = adj[here] & ~seen
@@ -147,7 +150,7 @@ def _path_bound(adj: Sequence[int], u: int, v: int) -> float:
 
 
 def _can_truncate(budget: SearchBudget, n: int,
-                  ends: Optional[Tuple[Sequence[int], int, int]] = None) -> bool:
+                  ends: tuple[Sequence[int], int, int] | None = None) -> bool:
     """Whether the budget can cut short some path sweep on n vertices or,
     given ends = (adj, u, v), the u-v sweep of that graph."""
     if budget.max_len is not None and budget.max_len < n:
@@ -176,7 +179,7 @@ def _off_path(n: int, p: PathVerts) -> int:
 
 
 @functools.lru_cache(maxsize=200_000)
-def _fan_levels(g: Graph, p: PathVerts) -> Tuple[int, ...]:
+def _fan_levels(g: Graph, p: PathVerts) -> tuple[int, ...]:
     """For every subpath (i,j) of p, the number of internally-disjoint
     detours between p[i] and p[j] in g minus the rest of p, capped at 3.
 
@@ -226,7 +229,7 @@ def _witness(g: Graph, p: PathVerts, i: int, j: int) -> ChordingWitness:
     return witness
 
 
-def _chording_witness(g: Graph, p: PathVerts) -> Optional[ChordingWitness]:
+def _chording_witness(g: Graph, p: PathVerts) -> ChordingWitness | None:
     if not _may_reach(g._adj, p, 3):
         return None
     levels = _fan_levels(g, p)
@@ -236,7 +239,7 @@ def _chording_witness(g: Graph, p: PathVerts) -> Optional[ChordingWitness]:
     return _witness(g, p, i, j)
 
 
-def classify_quasi_3cc(g: Graph, path: Sequence[int]) -> Optional[ChordingWitness]:
+def classify_quasi_3cc(g: Graph, path: Sequence[int]) -> ChordingWitness | None:
     """A verified witness that the path is quasi 3-circuit chording, or None."""
     return _chording_witness(g, validate_path(g, path))
 
@@ -291,7 +294,7 @@ def is_e_plus_quasi_3cc(g: Graph, path: Sequence[int], e: Pair) -> bool:
     return _eplus_hits(g, p, e, _plus_edge(g, e)) is not None
 
 
-def _plus_edge(g: Graph, e: Pair) -> List[int]:
+def _plus_edge(g: Graph, e: Pair) -> list[int]:
     """The adjacency masks of g + e."""
     adj2 = list(g._adj)
     adj2[e[0]] |= 1 << e[1]
@@ -299,7 +302,7 @@ def _plus_edge(g: Graph, e: Pair) -> List[int]:
     return adj2
 
 
-def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> Optional[ChordingWitness]:
+def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> ChordingWitness | None:
     """The verified witness in g+e for a path of g that is not quasi
     3-circuit chording in g but is in g+e, or None; adj2 is g + e."""
     # a hit is a level 3 in g+e; levels only grow when e is added, so without
@@ -330,7 +333,7 @@ def _eplus_hits(g: Graph, p: PathVerts, e: Pair, adj2: Sequence[int]) -> Optiona
 
 # (query key, budget) -> the first (path, witness or arcs) in order, or None;
 # past _VERDICTS_MAX entries the oldest is dropped
-_verdicts: Dict[tuple, Optional[tuple]] = {}
+_verdicts: dict[tuple, tuple | None] = {}
 _VERDICTS_MAX = 100_000
 
 
@@ -341,7 +344,7 @@ def clear_caches() -> None:
 
 
 def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
-           hit: Callable[[PathVerts], object], what: str, possible: bool) -> Optional[tuple]:
+           hit: Callable[[PathVerts], object], what: str, possible: bool) -> tuple | None:
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
     in enumeration order, or None when there is none; cached under key and
     budget.  A truncated sweep that found nothing raises BudgetExceeded, even

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Tuple
 
 from . import __version__
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
@@ -49,7 +48,7 @@ def _write(args, payload: dict, text: str) -> None:
         payload["written"] = args.output
 
 
-def _load_graph(path: str, fmt: Optional[str]) -> Graph:
+def _load_graph(path: str, fmt: str | None) -> Graph:
     text = _read(path)
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "edges"
@@ -97,7 +96,7 @@ def _witness_dict(w):
     return {"kind": "five_fan", "pair": list(w.pair), "paths": [list(p) for p in w.paths]}
 
 
-def _parse_vertex_list(text: str, what: str) -> Tuple[int, ...]:
+def _parse_vertex_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(",") if t != "")
     except ValueError:
@@ -122,7 +121,7 @@ def _parse_edge_set(text: str, what: str):
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> Tuple[dict, int]:
+def _cmd_analyze(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     rep = connectivity_report(g)
     locs = [rep.local[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
@@ -137,7 +136,7 @@ def _cmd_analyze(args) -> Tuple[dict, int]:
     return payload, OK if rep.uniform4 else VERDICT_FALSE
 
 
-def _cmd_removable(args) -> Tuple[dict, int]:
+def _cmd_removable(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     if not is_k_connected(g, 4):
         raise GraphError("removability is defined on 4-connected graphs")
@@ -151,7 +150,7 @@ def _cmd_removable(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _cmd_reduce(args) -> Tuple[dict, int]:
+def _cmd_reduce(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     e = _parse_vertex_list(args.edge, "--edge")
     if len(e) != 2:
@@ -163,7 +162,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _cmd_apply(args) -> Tuple[dict, int]:
+def _cmd_apply(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     xs = _parse_vertex_list(args.x, "--x")
     exs = _parse_edge_set(args.ex, "--ex")
@@ -193,7 +192,7 @@ def _cmd_apply(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _cmd_decompose(args) -> Tuple[dict, int]:
+def _cmd_decompose(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     try:
         trace = decompose(g)
@@ -206,7 +205,7 @@ def _cmd_decompose(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _cmd_replay(args) -> Tuple[dict, int]:
+def _cmd_replay(args) -> tuple[dict, int]:
     trace = trace_from_json(_read(args.trace))
     g = replay(trace, _budget(args), check_compat=not args.skip_compat)
     payload = {"base": trace.base, "steps": len(trace.steps),
@@ -217,7 +216,7 @@ def _cmd_replay(args) -> Tuple[dict, int]:
     return payload, OK
 
 
-def _cmd_gen(args) -> Tuple[dict, int]:
+def _cmd_gen(args) -> tuple[dict, int]:
     cat = generate_catalog(args.max_n, _budget(args))
     payload = {"max_n": args.max_n,
                "counts_by_n": {str(n): len(c) for n, c in sorted(cat.certs_by_n.items())},
@@ -227,7 +226,7 @@ def _cmd_gen(args) -> Tuple[dict, int]:
     return payload, OK if cat.complete else BUDGET
 
 
-def _cmd_verify(args) -> Tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, int]:
     rep = verify_theorem(args.max_n, _budget(args))
     payload = {"max_n": args.max_n,
                "oracle_counts": {str(n): len(c) for n, c in sorted(rep.oracle_by_n.items())},
@@ -244,7 +243,7 @@ def _cmd_verify(args) -> Tuple[dict, int]:
     return payload, OK if rep.holds else (VERDICT_FALSE if rep.complete else BUDGET)
 
 
-def _cmd_convert(args) -> Tuple[dict, int]:
+def _cmd_convert(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
     if args.to == "g6":
         text = format_graph6(g) + "\n"
@@ -317,7 +316,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The full parser, or with `only` a parser holding just that command's
     sub-parser, which parses that command's lines the same way."""
     ap = argparse.ArgumentParser(prog="unicon4",

@@ -28,54 +28,47 @@ non-neighbour, or contains v and separates two neighbours of v.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .graph_core import Graph, GraphError, _mask_bits
 
-Pair = Tuple[int, int]
+Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CutWitness:
-    """A vertex cut certifying connectivity below 4."""
-    vertices: frozenset
+class CutWitness(namedtuple("CutWitness", "vertices")):
+    """A vertex cut, a frozenset, certifying connectivity below 4."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FanWitness:
-    """Five internally-disjoint paths certifying a 5-connected pair."""
-    pair: Pair
-    paths: Tuple[Tuple[int, ...], ...]
+class FanWitness(namedtuple("FanWitness", "pair paths")):
+    """Five internally-disjoint paths, vertex tuples, certifying a 5-connected pair."""
+    __slots__ = ()
 
 
-Witness = Union[CutWitness, FanWitness]
+Witness = CutWitness | FanWitness
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    kappa: int
-    local: Tuple[Tuple[int, ...], ...]
-    uniform4: bool
-    witness: Optional[Witness]
+class ConnectivityReport(namedtuple("ConnectivityReport", "kappa local uniform4 witness")):
+    """kappa, the local connectivities as row tuples, the verdict and its Witness or None."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Fragment:
-    cut: frozenset
-    body: frozenset
+class Fragment(namedtuple("Fragment", "cut body")):
+    """A minimum cut and a union of some but not all components of g - cut, as frozensets."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class End:
-    fragment: Fragment
+class End(namedtuple("End", "fragment")):
+    """An inclusion-minimal Fragment."""
+    __slots__ = ()
 
 
 # -- unit-capacity vertex flow ----------------------------------------------
 
 
 def _flow_paths(adj: Sequence[int], s: int, t: int, limit: int,
-                alive: int, banned: Optional[Pair]) -> List[List[int]]:
+                alive: int, banned: Pair | None) -> list[list[int]]:
     """Internally-disjoint s-t paths by augmentation on the split digraph.
 
     Stops after `limit` paths.  `alive` masks usable vertices (must include
@@ -242,7 +235,7 @@ def _greedy_paths(adj: Sequence[int], starts: int, goals: int, limit: int, inner
 # -- public operations -------------------------------------------------------
 
 
-def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> int:
+def local_connectivity(g: Graph, u: int, v: int, cap: int | None = None) -> int:
     """Maximum number of internally-disjoint u-v paths (exact Menger value).
 
     With a positive `cap`, stops counting at cap (returns min(value, cap)).
@@ -251,14 +244,14 @@ def local_connectivity(g: Graph, u: int, v: int, cap: Optional[int] = None) -> i
     return _local_conn(g._adj, u, v, g.n if cap is None else cap, (1 << g.n) - 1, True)
 
 
-def _check_pair(g: Graph, u: int, v: int, name: str = "", count: Optional[int] = None) -> None:
+def _check_pair(g: Graph, u: int, v: int, name: str = "", count: int | None = None) -> None:
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphError(f"expected two distinct vertices in range, got {u} and {v}")
     if count is not None and count < 1:
         raise GraphError(f"{name} must be positive, got {count}")
 
 
-def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> tuple[tuple[int, ...], ...] | None:
     """k internally-disjoint u-v paths if they exist, else None.
 
     For adjacent pairs the edge itself is one of the paths.
@@ -327,7 +320,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return all(_local_conn(g._adj, u, v, k, full, True) >= k for u, v in _probe_pairs(g))
 
 
-def _components(adj: Sequence[int], alive: int) -> List[int]:
+def _components(adj: Sequence[int], alive: int) -> list[int]:
     comps = []
     rest = alive
     while rest:
@@ -346,7 +339,7 @@ def _components(adj: Sequence[int], alive: int) -> List[int]:
     return comps
 
 
-def is_uniformly_4_connected(g: Graph) -> Tuple[bool, Optional[Witness]]:
+def is_uniformly_4_connected(g: Graph) -> tuple[bool, Witness | None]:
     """True iff every vertex pair has local connectivity exactly 4.
 
     On failure the witness is a vertex cut of size < 4, or a pair together
@@ -398,14 +391,14 @@ def _cuts_of_size(g: Graph, size: int):
             yield frozenset(cut), comps
 
 
-def minimum_cuts(g: Graph) -> List[frozenset]:
+def minimum_cuts(g: Graph) -> list[frozenset]:
     """Every vertex cut of minimum size, exhaustively."""
     if g.is_complete():
         raise GraphError("complete graphs have no vertex cut")
     return [cut for cut, _ in _cuts_of_size(g, vertex_connectivity(g))]
 
 
-def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
+def fragments(g: Graph, cut: frozenset) -> list[Fragment]:
     """All unions of some but not all components of g - cut."""
     alive = (1 << g.n) - 1
     for c in cut:
@@ -427,14 +420,14 @@ def fragments(g: Graph, cut: frozenset) -> List[Fragment]:
     return out
 
 
-def ends(g: Graph) -> List[End]:
+def ends(g: Graph) -> list[End]:
     """Inclusion-minimal fragment bodies over all minimum cuts."""
     if g.is_complete():
         raise GraphError("complete graphs have no vertex cut")
     return _ends(g, vertex_connectivity(g))
 
 
-def _ends(g: Graph, kappa: int) -> List[End]:
+def _ends(g: Graph, kappa: int) -> list[End]:
     """The ends of a non-complete g whose connectivity kappa is known.
 
     Every fragment holds a single component of its cut, which is itself a

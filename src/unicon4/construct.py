@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, is_uniformly_4_connected
@@ -64,17 +64,15 @@ class TraceFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    op: str  # "delta1" | "delta2"
-    spec: CompatSet
-    post_cert: bytes
+class TraceStep(namedtuple("TraceStep", "op spec post_cert")):
+    """One expansion: op ("delta1" or "delta2"), its spec, and the
+    certificate of the graph it builds."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    base: str  # "C5SQ" | "C6SQ"
-    steps: Tuple[TraceStep, ...]
+class ConstructionTrace(namedtuple("ConstructionTrace", "base steps")):
+    """A base tag ("C5SQ" or "C6SQ") and the tuple of TraceSteps from it."""
+    __slots__ = ()
 
 
 def base_graph(tag: str) -> Graph:
@@ -173,7 +171,7 @@ def replay(trace: ConstructionTrace, budget: SearchBudget = DEFAULT_BUDGET,
 # -- decomposition ---------------------------------------------------------------
 
 
-def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
+def _parent_candidates(g: Graph) -> Iterator[tuple[str, Graph, CompatSet]]:
     """Smaller host graphs H with an expansion spec rebuilding g.
 
     Candidates are derived from the degree-4 vertices: removing such a
@@ -224,7 +222,7 @@ def _parent_candidates(g: Graph) -> Iterator[Tuple[str, Graph, CompatSet]]:
                     yield "delta1", host, Delta1Spec(mxs, remap[y], exs)
 
 
-def _subsets_largest_first(edges: Tuple) -> Iterator[Tuple]:
+def _subsets_largest_first(edges: tuple) -> Iterator[tuple]:
     for size in range(len(edges), 0, -1):
         yield from itertools.combinations(edges, size)
 
@@ -245,13 +243,12 @@ def decompose(g: Graph) -> ConstructionTrace:
     again.  At most DECOMPOSE_CANDIDATES candidates are examined across the
     whole search.
     """
-    uniform, _ = is_uniformly_4_connected(g)
-    if not uniform:
+    if g.n < 5 or not is_uniformly_4_connected(g)[0]:
         raise NotUniform("decomposition is defined for uniformly 4-connected graphs")
     nodes = [0]
     failed: set = set()
 
-    def search(cur: Graph, order: Tuple[int, ...]) -> Tuple[str, List[TraceStep], Graph, tuple]:
+    def search(cur: Graph, order: tuple[int, ...]) -> tuple[str, list[TraceStep], Graph, tuple]:
         # order labels cur; the graph rebuilt comes back with its labeling
         cert = _cert_from(cur, order)
         for tag, (base_cert, base_order) in _BASES.items():
@@ -287,7 +284,7 @@ def decompose(g: Graph) -> ConstructionTrace:
     return ConstructionTrace(tag, tuple(steps))
 
 
-def _map_spec(spec: CompatSet, iso: Dict[int, int]) -> CompatSet:
+def _map_spec(spec: CompatSet, iso: dict[int, int]) -> CompatSet:
     def me(edges):
         return tuple((iso[a], iso[b]) for a, b in edges)
     if isinstance(spec, Delta1Spec):
@@ -300,7 +297,7 @@ def _map_spec(spec: CompatSet, iso: Dict[int, int]) -> CompatSet:
 
 # a class as the census and generation keep it: its canonical form, with
 # generators of its automorphism group, each a tuple p mapping form vertex v to p[v]
-Labeled = Tuple[Graph, List[Tuple[int, ...]]]
+Labeled = tuple[Graph, list[tuple[int, ...]]]
 
 
 def _labeled(g: Graph) -> Labeled:
@@ -342,10 +339,10 @@ def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
 
 
 # a census level: each class's canonical form, with its generators (Labeled)
-Level = Dict[Graph, List[Tuple[int, ...]]]
+Level = dict[Graph, list[tuple[int, ...]]]
 
 
-def _children(parent: Graph, maxdeg: int, gens: Sequence[Tuple[int, ...]]) -> Iterator[Graph]:
+def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> Iterator[Graph]:
     """The one-vertex extensions of parent that keep the census bounds and
     whose new vertex k has maximum degree, one per orbit of the miss-sets
     under the group that gens (automorphisms of parent, each a tuple p
@@ -396,7 +393,7 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[Tuple[int, ...]]) -> It
                 yield Graph._of(rows)
 
 
-def _oracle(n: int) -> Dict[bytes, Graph]:
+def _oracle(n: int) -> dict[bytes, Graph]:
     """Every uniformly 4-connected graph on n vertices, keyed by certificate.
 
     Grows the census one isomorphism class at a time.  Three bounds are
@@ -450,11 +447,11 @@ def _grow(level: Level, maxdeg: int) -> Level:
     return grown
 
 
-def brute_force_uniform(n: int) -> FrozenSet[bytes]:
+def brute_force_uniform(n: int) -> frozenset[bytes]:
     return frozenset(_oracle(n))
 
 
-def oracle_graphs(n: int) -> Tuple[Graph, ...]:
+def oracle_graphs(n: int) -> tuple[Graph, ...]:
     """Canonical representatives of the oracle's certificates, sorted."""
     cat = _oracle(n)
     return tuple(cat[c] for c in sorted(cat))
@@ -463,16 +460,15 @@ def oracle_graphs(n: int) -> Tuple[Graph, ...]:
 # -- generation ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationResult:
-    n_max: int
-    certs_by_n: Dict[int, FrozenSet[bytes]]
-    representatives: Dict[bytes, Graph]
-    complete: bool
-    budget_hits: int
-    soundness_failures: Tuple[Tuple[bytes, str], ...]
+class GenerationResult(namedtuple("GenerationResult", "n_max certs_by_n representatives "
+                                   "complete budget_hits soundness_failures")):
+    """The generated certificates by order, a representative graph per
+    certificate, whether no search budget cut generation short, the number
+    of budget hits, and the (certificate, spec repr) pairs whose expansion
+    was not uniformly 4-connected."""
+    __slots__ = ()
 
-    def all_certs(self) -> FrozenSet[bytes]:
+    def all_certs(self) -> frozenset[bytes]:
         out: set = set()
         for certs in self.certs_by_n.values():
             out |= certs
@@ -490,11 +486,11 @@ class GenerationResult:
 # edges rebuilt from the missed vertices, is built only when the spec is
 # checked.
 
-Side = Tuple[Tuple[int, int, int], Tuple[int, ...]]
-SideKey = Tuple[int, int]
+Side = tuple[tuple[int, int, int], tuple[int, ...]]
+SideKey = tuple[int, int]
 
 
-def _triples(h: Graph) -> List[Tuple[int, List[Tuple[Side, SideKey]]]]:
+def _triples(h: Graph) -> list[tuple[int, list[tuple[Side, SideKey]]]]:
     """Each 3-set holding a host edge, as its vertex mask with the sides of
     its nonempty sets of inside edges, smallest first, and their keys: the
     removal choices of one side of a spec."""
@@ -531,7 +527,7 @@ def _keyed_specs(h: Graph, delta2: bool = True) -> Iterator[tuple]:
                         yield ((kx, ky) if xm < ym else (ky, kx)), (sx, sy)
 
 
-def _edges(side: Side) -> Tuple[Pair, ...]:
+def _edges(side: Side) -> tuple[Pair, ...]:
     xs, missed = side
     return tuple(tuple(v for v in xs if v != m) for m in missed)
 
@@ -543,7 +539,7 @@ def _spec(raw: tuple) -> CompatSet:
     return Delta2Spec(side[0], other[0], _edges(side), _edges(other))
 
 
-def _side_image(side: Side, vbit: Tuple[int, ...]) -> SideKey:
+def _side_image(side: Side, vbit: tuple[int, ...]) -> SideKey:
     (a, b, c), missed = side
     mm = 0
     for m in missed:
@@ -551,7 +547,7 @@ def _side_image(side: Side, vbit: Tuple[int, ...]) -> SideKey:
     return vbit[a] | vbit[b] | vbit[c], mm
 
 
-def _key_image(raw: tuple, vbit: Tuple[int, ...]) -> tuple:
+def _key_image(raw: tuple, vbit: tuple[int, ...]) -> tuple:
     """The key of the raw spec's image under one automorphism's vertex bits."""
     side, other = raw
     kx = _side_image(side, vbit)
@@ -589,12 +585,12 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
     """
     if not 5 <= n_max <= 10:
         raise GraphError("generation is supported for 5 <= n_max <= 10")
-    by_n: Dict[int, Dict[bytes, Labeled]] = {n: {} for n in range(5, n_max + 1)}
+    by_n: dict[int, dict[bytes, Labeled]] = {n: {} for n in range(5, n_max + 1)}
     budget_hits = 0
-    failures: List[Tuple[bytes, str]] = []
+    failures: list[tuple[bytes, str]] = []
     # the certificate of each labeled graph, so that an output several
     # specs give is labeled once
-    certs: Dict[Graph, bytes] = {}
+    certs: dict[Graph, bytes] = {}
 
     def certify(g: Graph, uniform: bool) -> bytes:
         """g's certificate; a uniform g's class joins the catalog."""
@@ -606,7 +602,7 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
                 by_n[g.n][cert] = form, gens
         return cert
 
-    def outcome(host: Graph, spec: CompatSet) -> Optional[Tuple[bytes, bool]]:
+    def outcome(host: Graph, spec: CompatSet) -> tuple[bytes, bool] | None:
         """None when the spec gives no output, else the output's certificate
         and uniformity."""
         try:
@@ -628,7 +624,7 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
             # each automorphism p of the host as the bit of p(v) by vertex v
             tables = () if _can_truncate(budget, n) else [
                 tuple(1 << v for v in p) for p in _group(gens, n)]
-            known: Dict[tuple, Optional[Tuple[bytes, bool]]] = {}
+            known: dict[tuple, tuple[bytes, bool] | None] = {}
             for key, raw in _keyed_specs(host, delta2=n + 2 <= n_max):
                 if key in known:
                     result = known[key]
@@ -653,24 +649,21 @@ def generate_catalog(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Gener
         soundness_failures=tuple(failures))
 
 
-def generate_all(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> FrozenSet[bytes]:
+def generate_all(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> frozenset[bytes]:
     return generate_catalog(n_max, budget).all_certs()
 
 
 # -- the comparison report -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    n_max: int
-    oracle_by_n: Dict[int, FrozenSet[bytes]]
-    generated_by_n: Dict[int, FrozenSet[bytes]]
-    only_oracle: Dict[int, FrozenSet[bytes]]
-    only_generated: Dict[int, FrozenSet[bytes]]
-    decompose_ok: Dict[bytes, bool]
-    soundness_failures: Tuple[Tuple[bytes, str], ...]
-    complete: bool  # False when a search budget cut generation or a round trip short
-    timings: Dict[str, float] = field(default_factory=dict)
+class VerificationReport(namedtuple("VerificationReport", "n_max oracle_by_n generated_by_n "
+                                     "only_oracle only_generated decompose_ok soundness_failures "
+                                     "complete timings")):
+    """The oracle's and generation's certificates by order and their
+    differences, the decompose/replay round trip per oracle certificate,
+    generation's soundness failures, whether no search budget cut
+    generation or a round trip short, and the seconds of each phase."""
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -686,7 +679,7 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
     three agree and no search was cut short by the budget."""
     if not 5 <= n_max <= 8:
         raise GraphError("verification is supported for 5 <= n_max <= 8")
-    timings: Dict[str, float] = {}
+    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     census = {n: _oracle(n) for n in range(5, n_max + 1)}
     oracle_by_n = {n: frozenset(found) for n, found in census.items()}
@@ -695,7 +688,7 @@ def verify_theorem(n_max: int, budget: SearchBudget = DEFAULT_BUDGET) -> Verific
     cat = generate_catalog(n_max, budget)
     timings["generate"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    decompose_ok: Dict[bytes, bool] = {}
+    decompose_ok: dict[bytes, bool] = {}
     complete = cat.complete
     for n in range(5, n_max + 1):
         for cert in sorted(census[n]):

@@ -11,11 +11,11 @@ third-party dependency.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
 MAX_ORDER = 16  # canonical certificates and the file formats are only supported up to here
 
-Edge = Tuple[int, int]
+Edge = tuple[int, int]
 
 
 class GraphError(ValueError):
@@ -69,10 +69,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[self._vertex(v)].bit_count()
 
-    def neighbors(self, v: int) -> List[int]:
+    def neighbors(self, v: int) -> list[int]:
         return _mask_bits(self._adj[self._vertex(v)])
 
-    def edges(self) -> List[Edge]:
+    def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n) for v in _mask_bits(self._adj[u] >> (u + 1) << (u + 1))]
 
     @property
@@ -98,7 +98,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _or_edges(adj: List[int], edges: Iterable[Edge]) -> None:
+def _or_edges(adj: list[int], edges: Iterable[Edge]) -> None:
     n = len(adj)
     for u, v in edges:
         if u == v:
@@ -109,7 +109,7 @@ def _or_edges(adj: List[int], edges: Iterable[Edge]) -> None:
         adj[v] |= 1 << u
 
 
-def _mask_bits(mask: int) -> List[int]:
+def _mask_bits(mask: int) -> list[int]:
     out = []
     while mask:
         low = mask & -mask
@@ -148,7 +148,7 @@ def add_vertex_with_neighbors(g: Graph, nbrs: Iterable[int]) -> Graph:
     return Graph._of([row | x if mask >> u & 1 else row for u, row in enumerate(g._adj)] + [mask])
 
 
-def delete_vertex(g: Graph, v: int) -> Tuple[Graph, Dict[int, int]]:
+def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """Remove v, relabel the rest densely; returns (graph, old id -> new id)."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} not in graph")
@@ -322,17 +322,17 @@ def to_dot(g: Graph, name: str = "G") -> str:
 # the search trivially safe.
 
 
-def _refine(adj: Sequence[int], cells: List[int], fresh: List[int]) -> List[int]:
+def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
     # cells: list of bitmasks, ordered; refined until equitable.  fresh:
     # the pieces the last split made, in cell order, less the last piece
     # of each split; a count into any other cell is constant on each cell
     # or fixed by the counts into its sibling pieces, so it cannot split
     # a cell or reorder its pieces
     while fresh and len(cells) < len(adj):  # a discrete partition is equitable
-        cuts: List[int] = []  # splitter by splitter, each high count bit first
+        cuts: list[int] = []  # splitter by splitter, each high count bit first
         for splitter in fresh:
             # slices[b]: the vertices whose count into splitter has bit b set
-            slices: List[int] = []
+            slices: list[int] = []
             while splitter:
                 low = splitter & -splitter
                 splitter ^= low
@@ -345,7 +345,7 @@ def _refine(adj: Sequence[int], cells: List[int], fresh: List[int]) -> List[int]
                 else:
                     slices.append(carry)
             cuts.extend(reversed(slices))
-        new_cells: List[int] = []
+        new_cells: list[int] = []
         fresh = []
         for cell in cells:
             if cell & (cell - 1) == 0:  # singleton
@@ -376,12 +376,12 @@ class _CanonSearch:
     def __init__(self, adj: Sequence[int], n: int):
         self.adj = adj
         self.n = n
-        self.best_code: Optional[int] = None
-        self.best_order: Optional[Tuple[int, ...]] = None
-        self.best_path: Tuple[int, ...] = ()
-        self.autos: List[Tuple[int, ...]] = []  # p as a tuple mapping v to p[v]
+        self.best_code: int | None = None
+        self.best_order: tuple[int, ...] | None = None
+        self.best_path: tuple[int, ...] = ()
+        self.autos: list[tuple[int, ...]] = []  # p as a tuple mapping v to p[v]
 
-    def run(self) -> Tuple[int, ...]:
+    def run(self) -> tuple[int, ...]:
         full = (1 << self.n) - 1
         cells = _refine(self.adj, [full], [full]) if self.n else []
         self._descend(cells, [])
@@ -389,7 +389,7 @@ class _CanonSearch:
             raise RuntimeError("canonical search reached no leaf")
         return self.best_order
 
-    def _descend(self, cells: List[int], fixed: List[int]) -> int:
+    def _descend(self, cells: list[int], fixed: list[int]) -> int:
         # returns the depth to go back to: a node deeper than it returns at once
         depth = len(fixed)
         if len(cells) == self.n:  # discrete: a leaf
@@ -414,7 +414,7 @@ class _CanonSearch:
         # that fix the prefix pointwise; a child inside it would open an
         # image of an explored subtree
         orbit: set = set()
-        gens: List[Tuple[int, ...]] = []
+        gens: list[tuple[int, ...]] = []
         known = 0  # the recorded automorphisms gens has seen
         for v in _mask_bits(cell):
             if len(self.autos) > known:
@@ -432,7 +432,7 @@ class _CanonSearch:
         return depth
 
 
-def _extend(orbit: set, todo: List[int], gens: List[Tuple[int, ...]]) -> None:
+def _extend(orbit: set, todo: list[int], gens: list[tuple[int, ...]]) -> None:
     """Add the vertices of todo to orbit, an orbit set closed under gens."""
     while todo:
         u = todo.pop()
@@ -441,7 +441,7 @@ def _extend(orbit: set, todo: List[int], gens: List[Tuple[int, ...]]) -> None:
             todo.extend(a[u] for a in gens)
 
 
-def _canonical_search(g: Graph) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """g's canonical labeling and the automorphisms its search recorded,
     which generate g's automorphism group (automorphism_group)."""
     if g.n > MAX_ORDER:
@@ -450,12 +450,12 @@ def _canonical_search(g: Graph) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]
     return search.run(), search.autos
 
 
-def canonical_labeling(g: Graph) -> Tuple[int, ...]:
+def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Permutation as a tuple: position i holds the old id placed at i."""
     return _canonical_search(g)[0]
 
 
-def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Every automorphism of g as a tuple p mapping v to p[v], sorted.
 
     The canonical search records an automorphism for each leaf it reaches
@@ -477,7 +477,7 @@ def automorphism_group(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     return _group(_canonical_search(g)[1], g.n)
 
 
-def _group(gens: Sequence[Tuple[int, ...]], n: int) -> Tuple[Tuple[int, ...], ...]:
+def _group(gens: Sequence[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
     """The group that gens, permutations of 0..n-1 as tuples, generate, sorted."""
     group = {tuple(range(n))}
     frontier = list(group)
@@ -529,7 +529,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_cert(g) == canonical_cert(h)
 
 
-def find_isomorphism(g: Graph, h: Graph) -> Optional[Dict[int, int]]:
+def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An explicit vertex bijection g -> h, or None."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
@@ -537,7 +537,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Dict[int, int]]:
 
 
 def _iso_from(g: Graph, h: Graph, g_order: Sequence[int],
-              h_order: Sequence[int]) -> Optional[Dict[int, int]]:
+              h_order: Sequence[int]) -> dict[int, int] | None:
     """find_isomorphism(g, h) for g, h of equal order and size, from their labelings."""
     # the canonical forms agree iff the map between equal canonical
     # positions is an isomorphism, so test the map instead of building them
@@ -547,7 +547,7 @@ def _iso_from(g: Graph, h: Graph, g_order: Sequence[int],
     return mapping
 
 
-def relabel(g: Graph, mapping: Dict[int, int]) -> Graph:
+def relabel(g: Graph, mapping: dict[int, int]) -> Graph:
     if sorted(mapping) != list(range(g.n)) or sorted(mapping.values()) != list(range(g.n)):
         raise GraphError("relabeling must be a permutation of the vertex ids")
     return _form_from(g, sorted(mapping, key=mapping.get))  # old ids by new id

@@ -17,8 +17,7 @@ interiors, not all C(n - 2, 3) 3-sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from collections import namedtuple
 
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
@@ -26,7 +25,7 @@ from .connectivity import _components, _ends, _flow_paths, _kappa, is_k_connecte
 from .graph_core import (Graph, GraphError, _form_from, _mask_bits, add_vertex_with_neighbors,
                          remove_edges)
 
-Pair = Tuple[int, int]
+Pair = tuple[int, int]
 
 
 class SpecInvalid(GraphError):
@@ -47,7 +46,7 @@ class EndCoverageViolated(SpecInvalid):
         self.end_body = end_body
 
 
-def _norm_edges(edges) -> Tuple[Pair, ...]:
+def _norm_edges(edges) -> tuple[Pair, ...]:
     return tuple(sorted({(u, v) if u < v else (v, u) for u, v in edges}))
 
 
@@ -79,57 +78,53 @@ def _check_ids(*ids) -> None:
         raise SpecInvalid("vertex-ids", f"vertex ids must be integers, got {bad}")
 
 
-@dataclass(frozen=True)
-class Delta1Spec:
+class Delta1Spec(namedtuple("Delta1Spec", "x_set y_vertex ex_edges")):
     """Parameters of a delta-1 expansion: wipe ex_edges inside the 3-set
-    x_set, then attach a new vertex to x_set plus y_vertex."""
-    x_set: Tuple[int, int, int]
-    y_vertex: int
-    ex_edges: Tuple[Pair, ...]
+    x_set, then attach a new vertex to x_set plus y_vertex.  The 3-set and
+    the edges are stored sorted."""
+    __slots__ = ()
 
-    def __init__(self, x_set, y_vertex, ex_edges):
+    def __new__(cls, x_set, y_vertex, ex_edges):
         x_set, ex_edges = _three_set(x_set), _pairs(ex_edges)
         _check_ids(*x_set, y_vertex, *itertools.chain(*ex_edges))
-        object.__setattr__(self, "x_set", tuple(sorted(x_set)))
-        object.__setattr__(self, "y_vertex", y_vertex)
-        object.__setattr__(self, "ex_edges", _norm_edges(ex_edges))
+        return super().__new__(cls, tuple(sorted(x_set)), y_vertex, _norm_edges(ex_edges))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace normalises and checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class Delta2Spec:
+class Delta2Spec(namedtuple("Delta2Spec", "x_set y_set ex_edges ey_edges")):
     """Parameters of a delta-2 expansion: wipe ex_edges / ey_edges inside
-    the 3-sets, then attach a new adjacent vertex pair, one side each."""
-    x_set: Tuple[int, int, int]
-    y_set: Tuple[int, int, int]
-    ex_edges: Tuple[Pair, ...]
-    ey_edges: Tuple[Pair, ...]
+    the 3-sets, then attach a new adjacent vertex pair, one side each.  The
+    3-sets and the edges are stored sorted."""
+    __slots__ = ()
 
-    def __init__(self, x_set, y_set, ex_edges, ey_edges):
+    def __new__(cls, x_set, y_set, ex_edges, ey_edges):
         x_set, y_set = _three_set(x_set), _three_set(y_set)
         ex_edges, ey_edges = _pairs(ex_edges), _pairs(ey_edges)
         _check_ids(*x_set, *y_set, *itertools.chain(*ex_edges, *ey_edges))
-        object.__setattr__(self, "x_set", tuple(sorted(x_set)))
-        object.__setattr__(self, "y_set", tuple(sorted(y_set)))
-        object.__setattr__(self, "ex_edges", _norm_edges(ex_edges))
-        object.__setattr__(self, "ey_edges", _norm_edges(ey_edges))
+        return super().__new__(cls, tuple(sorted(x_set)), tuple(sorted(y_set)),
+                               _norm_edges(ex_edges), _norm_edges(ey_edges))
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace normalises and checks too
+        return cls(*fields)
 
 
-CompatSet = Union[Delta1Spec, Delta2Spec]
+CompatSet = Delta1Spec | Delta2Spec
 
 
-@dataclass(frozen=True)
-class CompatViolation:
-    pair: Pair
-    predicate: str  # "quasi_3cc" | "quasi_chord" | "e_plus_quasi_3cc"
-    added_edge: Optional[Pair]
-    path: Tuple[int, ...]
-    detail: object
+class CompatViolation(namedtuple("CompatViolation", "pair predicate added_edge path detail")):
+    """The failed pair, the predicate it met ("quasi_3cc", "quasi_chord" or
+    "e_plus_quasi_3cc"), the added edge or None, the path, and its witness
+    or chord arcs."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    compatible: bool
-    violation: Optional[CompatViolation]
+class CompatReport(namedtuple("CompatReport", "compatible violation")):
+    """The verdict, and the CompatViolation that refutes it or None."""
+    __slots__ = ()
 
 
 # -- reduction and removability ----------------------------------------------
@@ -145,7 +140,7 @@ def _checked_edge(g: Graph, e: Pair) -> Pair:
     return x, y
 
 
-def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
+def reduce_edge(g: Graph, e: Pair) -> tuple[Graph, dict[int, int]]:
     """Delete the edge; an endpoint left with degree 3 is deleted and its
     neighborhood completed into a clique.  Lower-id endpoint first (the
     outcome is order-independent; the suite asserts as much).
@@ -156,7 +151,7 @@ def reduce_edge(g: Graph, e: Pair) -> Tuple[Graph, Dict[int, int]]:
     return _reduce(g, *_checked_edge(g, e))
 
 
-def _reduce(g: Graph, x: int, y: int) -> Tuple[Graph, Dict[int, int]]:
+def _reduce(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
     """reduce_edge for an edge x < y of a graph known to be 4-connected."""
     adj = list(g._adj)
     adj[x] &= ~(1 << y)
@@ -221,7 +216,7 @@ def _separated(g: Graph, x: int, y: int) -> bool:
     return False
 
 
-def removable_edges(g: Graph) -> List[Pair]:
+def removable_edges(g: Graph) -> list[Pair]:
     edges = g.edges()
     if edges and not is_k_connected(g, 4):
         raise GraphError("reduction is defined on 4-connected graphs")
@@ -231,7 +226,7 @@ def removable_edges(g: Graph) -> List[Pair]:
 # -- the expansions -----------------------------------------------------------
 
 
-def _check_triple(h: Graph, xs: Tuple[int, ...], label: str) -> None:
+def _check_triple(h: Graph, xs: tuple[int, ...], label: str) -> None:
     if len(xs) != 3 or len(set(xs)) != 3:
         raise SpecInvalid(f"{label}-three-distinct", f"{label} must name 3 distinct vertices, got {xs}")
     if any(not 0 <= v < h.n for v in xs):
@@ -299,7 +294,7 @@ def _attach(reduced: Graph, spec: CompatSet) -> Graph:
     return add_vertex_with_neighbors(g, list(spec.y_set) + [reduced.n])
 
 
-def _validated(h: Graph, spec: CompatSet, kinds: Tuple[type, ...] = (Delta1Spec, Delta2Spec)) -> Graph:
+def _validated(h: Graph, spec: CompatSet, kinds: tuple[type, ...] = (Delta1Spec, Delta2Spec)) -> Graph:
     """The reduced host, once spec is one of kinds and every defining clause holds."""
     if not isinstance(spec, kinds):
         names = " or ".join(k.__name__ for k in kinds)
@@ -339,7 +334,7 @@ def validate_delta(h: Graph, spec: CompatSet) -> None:
 # -- quasi-4-compatibility -----------------------------------------------------
 
 
-def _triangle(xs) -> Tuple[Pair, ...]:
+def _triangle(xs) -> tuple[Pair, ...]:
     return tuple(itertools.combinations(sorted(xs), 2))
 
 

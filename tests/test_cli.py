@@ -214,6 +214,16 @@ class TestDecomposeReplay:
         code, doc = run(capsys, "decompose", files["k6"])
         assert code == 1 and doc["uniform4"] is False
 
+    @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(2)], ids=["k4", "k2"])
+    def test_small_input_is_verdict_false_as_in_analyze(self, capsys, tmp_path, g):
+        # below 5 vertices no graph is uniformly 4-connected: a verdict, not an input error
+        p = tmp_path / "small.g6"
+        p.write_text(format_graph6(g) + "\n")
+        code, doc = run(capsys, "decompose", str(p))
+        assert code == 1 and doc["uniform4"] is False and doc["trace"] is None
+        code, doc = run(capsys, "analyze", str(p))
+        assert code == 1 and doc["uniform4"] is False
+
     def test_tampered_trace_exit_2(self, capsys, files, tmp_path):
         from unicon4 import construct, format_graph6 as fg
         g = construct.oracle_graphs(7)[0]

@@ -489,6 +489,11 @@ class TestDecompose:
         with pytest.raises(NotUniform):
             decompose(complete_graph(6))
 
+    @pytest.mark.parametrize("n", [4, 2, 1])
+    def test_graph_below_five_vertices_is_not_uniform(self, n):
+        with pytest.raises(NotUniform):
+            decompose(complete_graph(n))
+
     def test_oracle_n7_round_trips(self):
         for g in oracle_graphs(7):
             trace = decompose(g)

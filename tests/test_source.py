@@ -1,6 +1,8 @@
 import ast
 import importlib.util
+import subprocess
 import sys
+import typing
 from pathlib import Path
 
 from unicon4 import chording
@@ -40,6 +42,106 @@ def test_popcount_finder_sees_the_pattern():
     tree = ast.parse("a = bin(x).count('1')\nb = bin(x & y).count(\"1\")\n"
                      "c = x.bit_count()\nd = s.count('1')\n")
     assert _string_popcounts(tree) == [1, 2]
+
+
+# typing and dataclasses import inspect, ast, dis and tokenize, some 11 ms of
+# every CLI start; the records are named tuples and the annotations use
+# builtin generics, collections.abc and X | None
+SLOW_IMPORTS = {"typing", "dataclasses"}
+
+
+def _slow_imports(tree):
+    """Line numbers of the imports of a SLOW_IMPORTS module, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in SLOW_IMPORTS for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_src_imports_neither_typing_nor_dataclasses():
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py"))
+             for line in _slow_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_slow_import_finder_sees_each_form():
+    tree = ast.parse("import typing\nfrom dataclasses import dataclass, field\n"
+                     "import os, typing as t\ndef f():\n    from typing import List\n"
+                     "import typing_extensions\nfrom . import typing\nfrom collections.abc import Sequence\n"
+                     "import dataclasses.x\n")
+    assert _slow_imports(tree) == [1, 2, 3, 5, 9]
+
+
+def test_cli_runs_without_typing_dataclasses_or_inspect(tmp_path):
+    # a fresh interpreter, as the unicon4 entry point starts one, that then
+    # runs every kind of command, so that no module loads them later either
+    code = ("import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import unicon4.cli\n"
+            "slow = ('typing', 'dataclasses', 'inspect')\n"
+            "print([m for m in slow if m in sys.modules])\n"
+            "g, trace = sys.argv[2] + '/g.g6', sys.argv[2] + '/trace.json'\n"
+            "with open(g, 'w') as fh:\n"
+            "    fh.write(unicon4.format_graph6(unicon4.oracle_graphs(7)[0]) + '\\n')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [unicon4.cli.main(argv) for argv in (\n"
+            "        ['analyze', g], ['removable', g], ['decompose', g, '-o', trace], ['replay', trace],\n"
+            "        ['gen', '--max-n', '6'], ['verify', '--max-n', '6'])]\n"
+            "print(codes, [m for m in slow if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC.parent), str(tmp_path)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0, 0] []"]
+
+
+def _defined(module):
+    """The functions and classes that module defines, with each class's methods."""
+    out = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            out.append(obj)
+            for attr in vars(obj).values():
+                attr = getattr(attr, "__func__", attr)  # classmethod, staticmethod
+                if callable(attr) and getattr(attr, "__module__", None) == module.__name__:
+                    out.append(attr)
+        elif callable(obj):
+            out.append(obj)
+    return out
+
+
+def test_annotations_resolve():
+    # every annotation is a string (from __future__ import annotations), so a
+    # name left undefined by an import change would only fail when read
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"unicon4.{path.stem}".removesuffix(".__init__"))
+        for obj in _defined(module):
+            typing.get_type_hints(obj)
+            checked += 1
+        # nested functions and annotated locals, which no object reaches
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                notes = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs
+                         + [args.vararg, args.kwarg] if a is not None] + [node.returns]
+            elif isinstance(node, ast.AnnAssign):
+                notes = [node.annotation]
+            else:
+                continue
+            for note in notes:
+                if note is not None:
+                    eval(compile(ast.Expression(note), path.name, "eval"), vars(module))
+    assert checked > 100
 
 
 # the module-level caches of the package; performance work moves caches out

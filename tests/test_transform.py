@@ -385,6 +385,49 @@ class TestEdgePairs:
         assert err.value.clause == "edge-pairs"
 
 
+class TestRecords:
+    """The specs, reports and budgets are named tuples; these pin what a
+    caller sees of them."""
+    D1 = Delta1Spec((2, 0, 1), 3, [(1, 0)])
+    D2 = Delta2Spec((5, 4, 3), [2, 1, 0], [(4, 3)], [(2, 1), (0, 1)])
+    VIOLATION = transform.CompatViolation((0, 1), "quasi_3cc", None, (0, 2, 1), None)
+
+    def test_reprs_are_pinned(self):
+        # generation reports its soundness failures as repr(spec)
+        assert repr(self.D1) == "Delta1Spec(x_set=(0, 1, 2), y_vertex=3, ex_edges=((0, 1),))"
+        assert repr(self.D2) == ("Delta2Spec(x_set=(3, 4, 5), y_set=(0, 1, 2), "
+                                 "ex_edges=((3, 4),), ey_edges=((0, 1), (1, 2)))")
+        assert repr(chording.SearchBudget()) == "SearchBudget(max_paths=1000000, max_len=None)"
+        assert repr(self.VIOLATION) == ("CompatViolation(pair=(0, 1), predicate='quasi_3cc', "
+                                        "added_edge=None, path=(0, 2, 1), detail=None)")
+
+    def test_fields_cannot_be_assigned(self):
+        for record in (self.D1, self.D2, chording.SearchBudget(), self.VIOLATION):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    def test_fields_are_normalised(self):
+        assert (self.D1.x_set, self.D1.y_vertex, self.D1.ex_edges) == ((0, 1, 2), 3, ((0, 1),))
+        assert self.D1 == Delta1Spec(x_set=[1, 2, 0], y_vertex=3, ex_edges={(0, 1)})
+        assert self.D2 == Delta2Spec(*self.D2) == ((3, 4, 5), (0, 1, 2), ((3, 4),), ((0, 1), (1, 2)))
+
+    def test_equal_specs_hash_equal(self):
+        for a, b in ((self.D1, Delta1Spec([0, 2, 1], 3, ((0, 1),))),
+                     (self.D2, Delta2Spec((3, 4, 5), (0, 1, 2), [(3, 4)], [(1, 2), (1, 0)]))):
+            assert a == b and a is not b and hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_replace_normalises_and_checks(self):
+        assert self.D1._replace(x_set=(4, 2, 3), ex_edges=[(3, 2)]) == Delta1Spec((2, 3, 4), 3, [(2, 3)])
+        assert self.D2._replace(ey_edges=[(2, 0)]).ey_edges == ((0, 2),)
+        with pytest.raises(SpecInvalid):
+            self.D1._replace(y_vertex=3.0)
+        with pytest.raises(GraphError):
+            chording.SearchBudget()._replace(max_paths=0)
+
+
 class TestEveryClause:
     def test_outcome_of_every_spec_is_pinned(self):
         # each spec of both types on five small hosts, one of them not
