@@ -123,6 +123,9 @@ def _parse_edge_set(text: str, what: str):
 
 def _cmd_analyze(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
+    if g.n < 2:  # no pair to connect: a verdict, as in decompose, not an input error
+        return {"n": g.n, "m": 0, "kappa": None, "local_min": None, "local_max": None,
+                "uniform4": False, "witness": None}, VERDICT_FALSE
     rep = connectivity_report(g)
     locs = [rep.local[u][v] for u in range(g.n) for v in range(u + 1, g.n)]
     payload = {

@@ -443,15 +443,17 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
     """Global and all-pairs local connectivity plus the uniform-4 verdict."""
     if g.n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
+    # every pair's local connectivity lies between kappa and the lesser
+    # degree, an adjacent pair's too, since kappa(g - uv) >= kappa - 1; so a
+    # pair whose lesser degree is kappa needs no count
+    kappa = _kappa(g, g.n)
+    deg = [row.bit_count() for row in g._adj]
     local = [[0] * g.n for _ in range(g.n)]
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            k = _local_conn(g._adj, u, v, g.n, full, True)
+            k = kappa if min(deg[u], deg[v]) == kappa else _local_conn(g._adj, u, v, g.n, full, True)
             local[u][v] = local[v][u] = k
-    # kappa is the least local connectivity over non-adjacent pairs
-    kappa = min((local[u][v] for u in range(g.n) for v in range(u + 1, g.n)
-                 if not g.has_edge(u, v)), default=g.n - 1)
     # the verdict and witness of is_uniformly_4_connected, read off the matrix
     above = next(((u, v) for u in range(g.n) for v in range(u + 1, g.n) if local[u][v] >= 5), None)
     witness = None

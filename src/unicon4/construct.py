@@ -3,10 +3,11 @@ generation of every uniformly 4-connected graph up to a target order
 (n <= 10) by compatible expansions of the two base graphs, checking one
 spec per orbit of each host's automorphism group on integer spec keys; an
 independent census oracle that grows every candidate isomorphism class one
-vertex at a time, adding only vertices of maximum degree and keeping the
-degree >= 5 vertices a forest (n <= 10); decomposition of any uniformly
-4-connected graph back to a base with a replayable trace; and the report
-that compares all three.
+vertex at a time, adding only vertices of the greatest degree and, among
+those, of the most edges among their neighbours, and keeping the degree >= 5
+vertices a forest (n <= 10); decomposition of any uniformly 4-connected
+graph back to a base with a replayable trace; and the report that compares
+all three.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from collections.abc import Iterator, Sequence
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, canonical_cert, canonical_labeling,
-                         format_graph6, square_of_cycle, _canonical_search, _cert_from, _form_from,
-                         _group, _iso_from, _mask_bits)
+from .graph_core import (Graph, GraphError, add_edges, canonical_cert, format_graph6,
+                         square_of_cycle, _canonical_search, _cert_of, _form_from, _group, _iso_from,
+                         _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
                         _clauses, _reduced, is_quasi_4_compatible)
 
@@ -248,9 +249,8 @@ def decompose(g: Graph) -> ConstructionTrace:
     nodes = [0]
     failed: set = set()
 
-    def search(cur: Graph, order: tuple[int, ...]) -> tuple[str, list[TraceStep], Graph, tuple]:
-        # order labels cur; the graph rebuilt comes back with its labeling
-        cert = _cert_from(cur, order)
+    def search(cur: Graph, cert: bytes) -> tuple[str, list[TraceStep], Graph, tuple]:
+        # cert is cur's certificate; the graph rebuilt comes back with its labeling
         for tag, (base_cert, base_order) in _BASES.items():
             if cert == base_cert:
                 return tag, [], base_graph(tag), base_order
@@ -262,9 +262,9 @@ def decompose(g: Graph) -> ConstructionTrace:
             # skip the witness that is_uniformly_4_connected would build for it
             if not _meets_uniform_bounds(host._adj) or not is_uniformly_4_connected(host)[0]:
                 continue
-            host_order = canonical_labeling(host)
+            host_order, _, host_rows = _canonical_search(host)
             try:
-                tag, steps, rebuilt, rebuilt_order = search(host, host_order)
+                tag, steps, rebuilt, rebuilt_order = search(host, _cert_of(host_rows))
             except DecompositionError:
                 continue
             iso = _iso_from(host, rebuilt, host_order, rebuilt_order)
@@ -272,15 +272,15 @@ def decompose(g: Graph) -> ConstructionTrace:
                 raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
             out = _attach(_reduced(rebuilt, moved), moved)
-            out_order = canonical_labeling(out)
-            if _cert_from(out, out_order) != cert:
+            out_order, _, out_rows = _canonical_search(out)
+            if _cert_of(out_rows) != cert:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
             return tag, steps, out, out_order
         failed.add(cert)
         raise DecompositionError(f"no uniformly 4-connected parent found for {cur!r}")
 
-    tag, steps, _, _ = search(g, canonical_labeling(g))
+    tag, steps, _, _ = search(g, canonical_cert(g))
     return ConstructionTrace(tag, tuple(steps))
 
 
@@ -305,9 +305,9 @@ def _labeled(g: Graph) -> Labeled:
     order[i], so an automorphism a that the search recorded on g is
     i -> pos[a[order[i]]] on the form.  The recorded automorphisms generate
     the whole group (automorphism_group)."""
-    order, autos = _canonical_search(g)
+    order, autos, rows = _canonical_search(g)
     pos = {v: i for i, v in enumerate(order)}
-    return _form_from(g, order), [tuple(pos[a[v]] for v in order) for a in autos]
+    return Graph._of(rows), [tuple(pos[a[v]] for v in order) for a in autos]
 
 
 # -- census oracle ----------------------------------------------------------------
@@ -344,9 +344,10 @@ Level = dict[Graph, list[tuple[int, ...]]]
 
 def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> Iterator[Graph]:
     """The one-vertex extensions of parent that keep the census bounds and
-    whose new vertex k has maximum degree, one per orbit of the miss-sets
-    under the group that gens (automorphisms of parent, each a tuple p
-    mapping v to p[v]) generates.
+    whose new vertex k has the greatest key (degree, number of edges among
+    its neighbours), ties kept, one per orbit of the miss-sets under the
+    group that gens (automorphisms of parent, each a tuple p mapping v to
+    p[v]) generates.
 
     k misses (in G) a set S of at most maxdeg vertices whose complement
     degree is still below maxdeg, and sees every other vertex.  A miss-set
@@ -356,19 +357,30 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
     so no |S| is tried that an old vertex's degree already exceeds, and an
     old vertex of degree k - |S| must lie in S.  Then the common-neighbor
     bound of _oracle: k must not see both ends of a pair already at it,
-    and must keep it with each old vertex.  Last, the vertices of degree
-    >= 5 must still induce a forest (_degree5_forest).
+    and must keep it with each old vertex.  Then the rest of the key: an
+    old vertex that ties k's degree, one of degree k - |S| in S or one of
+    degree k - |S| - 1 that k sees, may not have more edges among its
+    neighbours than k has.  It has the parent's count, counted once per
+    parent on first need, plus, when k sees it, its common neighbours
+    with k; k has the parent's edges less those at a vertex of S.  Last,
+    the vertices of degree >= 5 must still induce a forest
+    (_degree5_forest).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
     deg = [row.bit_count() for row in adj]
+    by_deg = [0] * (k + 1)  # the vertices of each degree
+    for v in range(k):
+        by_deg[deg[v]] |= 1 << v
     avail = [v for v in range(k) if k - 1 - deg[v] < maxdeg]
     tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
              if (adj[a] & adj[b]).bit_count() == (3 if adj[a] >> b & 1 else 4)]
+    edges = sum(deg) // 2
+    hood: list[int] = []  # the edges among each vertex's neighbours, on first need
     full = (1 << k) - 1
     seen = set()  # the orbits of the kept miss masks
     for size in range(min(maxdeg, len(avail), k - max(deg)) + 1):
-        top = sum(1 << v for v in range(k) if deg[v] == k - size)
+        top, below = by_deg[k - size], by_deg[k - size - 1] if size < k else 0
         for miss in itertools.combinations(avail, size):
             miss_mask = 0
             for v in miss:
@@ -382,6 +394,15 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
                 continue
             if any((adj[u] & new).bit_count() > (3 if new >> u & 1 else 4) for u in range(k)):
                 continue
+            ties = new & below
+            if top or ties:
+                if not hood:
+                    hood = [sum((adj[w] & row).bit_count() for w in _mask_bits(row)) // 2 for row in adj]
+                # the edges among k's neighbours: the parent's, less those at a missed vertex
+                tk = edges - sum(2 * deg[v] - (adj[v] & miss_mask).bit_count() for v in miss) // 2
+                if (any(hood[u] > tk for u in _mask_bits(top))
+                        or any(hood[u] + (adj[u] & new).bit_count() > tk for u in _mask_bits(ties))):
+                    continue
             rows = [row | 1 << k if new >> u & 1 else row for u, row in enumerate(adj)] + [new]
             if _degree5_forest(rows):
                 todo = [miss_mask]
@@ -410,23 +431,24 @@ def _oracle(n: int) -> dict[bytes, Graph]:
     hereditary: complement degrees, common-neighbor counts and the set of
     degree >= 5 vertices only grow as vertices are added, so every induced
     subgraph of a graph that meets them meets them too.  Take a graph G on
-    k + 1 vertices that meets them, and a vertex v of maximum degree (a
-    canonical deletion in McKay's sense).  G - v meets the bounds, so its
-    class is in level k, and adding v's neighborhood to that class's
-    canonical form gives a child isomorphic to G: it meets the bounds and
-    its new vertex has maximum degree, so _children keeps it.  So, with one
-    canonical form kept per class, level k + 1 is every class on k + 1
-    vertices that meets the bounds; duplicates reached from different
-    parents collapse there.  Each class also carries generators of its
-    automorphism group, which its canonical search records anyway (_labeled).
-    If p is an automorphism of the parent, p extended by k -> k maps the
-    child that misses S onto the child that misses p(S); the three bounds
-    and the max-degree rule are invariant under p, so every image of a
-    kept miss-set would be kept too, with an isomorphic child, and
-    _children yields one child per orbit.  The classes on n vertices then
-    pass the authoritative uniformity test.  Only canonical labeling and
-    the connectivity layer are used; nothing from the expansion machinery
-    is consulted.
+    k + 1 vertices that meets them, and a vertex v of the greatest key
+    (degree, number of edges among its neighbours), which an isomorphism
+    preserves (a canonical deletion in McKay's sense).  G - v meets the
+    bounds, so its class is in level k, and adding v's neighborhood to
+    that class's canonical form gives a child isomorphic to G with v as
+    its new vertex: it meets the bounds and its new vertex has the
+    greatest key, so _children keeps it.  So, with one canonical form kept
+    per class, level k + 1 is every class on k + 1 vertices that meets the
+    bounds; duplicates reached from different parents collapse there.
+    Each class also carries generators of its automorphism group, which
+    its canonical search records anyway (_labeled).  If p is an
+    automorphism of the parent, p extended by k -> k maps the child that
+    misses S onto the child that misses p(S); the three bounds and the key
+    rule are invariant under p, so every image of a kept miss-set would be
+    kept too, with an isomorphic child, and _children yields one child per
+    orbit.  The classes on n vertices then pass the authoritative
+    uniformity test.  Only canonical labeling and the connectivity layer
+    are used; nothing from the expansion machinery is consulted.
     """
     if not 5 <= n <= 10:
         raise GraphError("the census is supported for 5 <= n <= 10")

@@ -316,10 +316,13 @@ def to_dot(g: Graph, name: str = "G") -> str:
 # counts into the cells and orders the pieces by count tuple; it counts
 # only into the pieces the previous round split off, as bit-sliced
 # masks, which gives the partitions, labelings and automorphisms of
-# counting into every cell.  Discovered automorphisms prune sibling
-# branches, which keeps vertex-transitive graphs (complete graphs,
-# squared cycles) cheap.  Exactness was the requirement; the n cap keeps
-# the search trivially safe.
+# counting into every cell.  The canonical form is the leaf form whose
+# upper-triangle bits, read row by row, are least; the search keeps the
+# best leaf's rows, compares each new leaf with them a row at a time, and
+# hands them out as the form, so no caller rebuilds it.  Discovered
+# automorphisms prune sibling branches, which keeps vertex-transitive
+# graphs (complete graphs, squared cycles) cheap.  Exactness was the
+# requirement; the n cap keeps the search trivially safe.
 
 
 def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
@@ -362,23 +365,15 @@ def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]
     return cells
 
 
-def _leaf_code(adj: Sequence[int], order: Sequence[int]) -> int:
-    # upper-triangle adjacency bits under the labeling, packed into one int
-    code = 0
-    for i, u in enumerate(order):
-        row = adj[u]
-        for j in range(i + 1, len(order)):
-            code = code << 1 | (row >> order[j] & 1)
-    return code
-
-
 class _CanonSearch:
     def __init__(self, adj: Sequence[int], n: int):
         self.adj = adj
         self.n = n
-        self.best_code: int | None = None
+        # the best leaf: its labeling, path, and the rows of its form, row i
+        # holding the position bits of order[i]'s neighbours
         self.best_order: tuple[int, ...] | None = None
         self.best_path: tuple[int, ...] = ()
+        self.best_rows: list[int] = []
         self.autos: list[tuple[int, ...]] = []  # p as a tuple mapping v to p[v]
 
     def run(self) -> tuple[int, ...]:
@@ -389,30 +384,54 @@ class _CanonSearch:
             raise RuntimeError("canonical search reached no leaf")
         return self.best_order
 
+    def _leaf(self, order: tuple[int, ...], fixed: list[int]) -> int:
+        # the leaf's form is compared with the best one a row at a time, as
+        # their upper-triangle bits read row by row: row i's bits below i
+        # repeat bit i of the rows above it, so in the first row that
+        # differs, the lowest differing bit is the first differing bit of
+        # the upper triangles, and the form with a 0 there is the smaller
+        depth = len(fixed)
+        best = self.best_rows if self.best_order is not None else None
+        place = [0] * self.n  # vertex -> the bit of its position
+        for i, v in enumerate(order):
+            place[v] = 1 << i
+        rows = []
+        for i, v in enumerate(order):
+            row, mask = 0, self.adj[v]
+            while mask:
+                low = mask & -mask
+                row |= place[low.bit_length() - 1]
+                mask ^= low
+            if best is not None and row != best[i]:
+                differ = row ^ best[i]
+                if row & differ & -differ:  # greater than the best leaf
+                    return depth
+                best = None  # smaller: build the rest of the new best
+            rows.append(row)
+        if best is None:
+            self.best_order, self.best_path, self.best_rows = order, tuple(fixed), rows
+            return depth
+        # a tie: the automorphism best leaf -> this leaf maps the best
+        # path onto this path, so it fixes their common prefix and maps
+        # the explored child of the node where they part onto the child
+        # holding this leaf; the rest of that child is an image too
+        auto = [0] * self.n
+        for b, v in zip(self.best_order, order):
+            auto[b] = v
+        self.autos.append(tuple(auto))
+        return next(i for i, (b, v) in enumerate(zip(self.best_path, fixed)) if b != v)
+
     def _descend(self, cells: list[int], fixed: list[int]) -> int:
         # returns the depth to go back to: a node deeper than it returns at once
-        depth = len(fixed)
         if len(cells) == self.n:  # discrete: a leaf
-            order = tuple(c.bit_length() - 1 for c in cells)
-            code = _leaf_code(self.adj, order)
-            if self.best_code is None or code < self.best_code:
-                self.best_code, self.best_order, self.best_path = code, order, tuple(fixed)
-            if code != self.best_code or order is self.best_order:  # no tie
-                return depth
-            # a tie: the automorphism best leaf -> this leaf maps the best
-            # path onto this path, so it fixes their common prefix and maps
-            # the explored child of the node where they part onto the child
-            # holding this leaf; the rest of that child is an image too
-            auto = [0] * self.n
-            for b, v in zip(self.best_order, order):
-                auto[b] = v
-            self.autos.append(tuple(auto))
-            return next(i for i, (b, v) in enumerate(zip(self.best_path, fixed)) if b != v)
+            return self._leaf(tuple(c.bit_length() - 1 for c in cells), fixed)
+        depth = len(fixed)
         split_at = next(i for i, c in enumerate(cells) if c & (c - 1))
         cell = cells[split_at]
         # orbit: the tried children, closed under the recorded automorphisms
         # that fix the prefix pointwise; a child inside it would open an
-        # image of an explored subtree
+        # image of an explored subtree.  Until such an automorphism is
+        # recorded, it is the tried children, and no child is in it
         orbit: set = set()
         gens: list[tuple[int, ...]] = []
         known = 0  # the recorded automorphisms gens has seen
@@ -422,9 +441,12 @@ class _CanonSearch:
                 known = len(self.autos)
                 gens += fresh
                 _extend(orbit, [a[u] for a in fresh for u in orbit], gens)
-            if v in orbit:
-                continue
-            _extend(orbit, [v], gens)
+            if gens:
+                if v in orbit:
+                    continue
+                _extend(orbit, [v], gens)
+            else:
+                orbit.add(v)
             split = cells[:split_at] + [1 << v, cell ^ (1 << v)] + cells[split_at + 1:]
             back = self._descend(_refine(self.adj, split, [1 << v]), fixed + [v])
             if back < depth:
@@ -441,13 +463,14 @@ def _extend(orbit: set, todo: list[int], gens: list[tuple[int, ...]]) -> None:
             todo.extend(a[u] for a in gens)
 
 
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """g's canonical labeling and the automorphisms its search recorded,
-    which generate g's automorphism group (automorphism_group)."""
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]:
+    """g's canonical labeling, the automorphisms its search recorded, which
+    generate g's automorphism group (automorphism_group), and the rows of
+    g's canonical form, which the search compared its leaves by."""
     if g.n > MAX_ORDER:
         raise GraphError(f"canonical labeling supported up to n={MAX_ORDER}, got {g.n}")
     search = _CanonSearch(g._adj, g.n)
-    return search.run(), search.autos
+    return search.run(), search.autos, search.best_rows
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
@@ -509,18 +532,18 @@ def _form_from(g: Graph, order: Sequence[int]) -> Graph:
     return Graph._of(rows)
 
 
-def _cert_from(g: Graph, order: Sequence[int]) -> bytes:
-    """The certificate of g, given order = canonical_labeling(g)."""
-    return format_graph6(_form_from(g, order)).encode("ascii")
-
-
 def canonical_form(g: Graph) -> Graph:
-    return _form_from(g, canonical_labeling(g))
+    return Graph._of(_canonical_search(g)[2])
 
 
 def canonical_cert(g: Graph) -> bytes:
     """Isomorphism-class certificate: graph6 of the canonical form."""
-    return _cert_from(g, canonical_labeling(g))
+    return _cert_of(_canonical_search(g)[2])
+
+
+def _cert_of(rows: Sequence[int]) -> bytes:
+    """The certificate of the canonical form with these rows."""
+    return format_graph6(Graph._of(rows)).encode("ascii")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

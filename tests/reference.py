@@ -9,8 +9,8 @@ import collections
 import itertools
 import random
 
-from unicon4 import (Delta1Spec, Delta2Spec, Graph, add_vertex_with_neighbors, canonical_form,
-                     format_graph6, is_uniformly_4_connected)
+from unicon4 import (Delta1Spec, Delta2Spec, Graph, add_vertex_with_neighbors, canonical_cert,
+                     canonical_form, format_graph6, is_uniformly_4_connected)
 
 
 def all_simple_paths(g: Graph, u: int, v: int):
@@ -74,6 +74,18 @@ def permutations_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def leaf_code(adj, order):
+    """The upper-triangle adjacency bits of the form that order labels,
+    row by row, packed into one int with the first bit the highest: the
+    integer the canonical search once compared its leaves by."""
+    code = 0
+    for i, u in enumerate(order):
+        row = adj[u]
+        for j in range(i + 1, len(order)):
+            code = code << 1 | (row >> order[j] & 1)
+    return code
+
+
 def refine_all_cells(adj, cells):
     """Equitable refinement of the ordered partition cells (bitmasks over
     the rows adj), each round keying every vertex of a cell by its counts
@@ -126,6 +138,45 @@ def _meets_census_bounds(g: Graph, n: int) -> bool:
         return False
     return all(len(nbrs[u] & nbrs[v]) <= (3 if v in nbrs[u] else 4)
                for u, v in itertools.combinations(range(g.n), 2))
+
+
+def census_levels_without_deletion(n: int):
+    """The certificate sets of the census levels of order n, on 1 to n
+    vertices, grown with no deletion rule: every one-vertex extension of
+    every class is built and kept when it meets _meets_census_bounds and
+    its vertices of degree >= 5 induce a forest."""
+    level = {Graph(1)}
+    levels = [{canonical_cert(g) for g in level}]
+    for k in range(1, n):
+        grown = set()
+        for g in level:
+            for size in range(k + 1):
+                for miss in itertools.combinations(range(k), size):
+                    child = add_vertex_with_neighbors(g, [v for v in range(k) if v not in miss])
+                    if _meets_census_bounds(child, n) and _high_degree_forest(child):
+                        grown.add(canonical_form(child))
+        level = grown
+        levels.append({canonical_cert(g) for g in level})
+    return levels
+
+
+def _high_degree_forest(g: Graph) -> bool:
+    """Whether the vertices of degree >= 5 induce a forest: no edge among
+    them joins two vertices that earlier edges already connect."""
+    root = {v: v for v in range(g.n) if g.degree(v) >= 5}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        if u in root and v in root:
+            a, b = find(u), find(v)
+            if a == b:
+                return False
+            root[a] = b
+    return True
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -224,6 +224,17 @@ class TestDecomposeReplay:
         code, doc = run(capsys, "analyze", str(p))
         assert code == 1 and doc["uniform4"] is False
 
+    @pytest.mark.parametrize("text", ["?", "@"], ids=["n0", "n1"])
+    def test_graph_without_pairs_is_verdict_false_in_both(self, capsys, tmp_path, text):
+        # 0 or 1 vertices: no pair to connect, so no kappa or local values
+        p = tmp_path / "tiny.g6"
+        p.write_text(text + "\n")
+        code, doc = run(capsys, "decompose", str(p))
+        assert code == 1 and doc["uniform4"] is False and doc["trace"] is None
+        code, doc = run(capsys, "analyze", str(p))
+        assert code == 1 and doc["uniform4"] is False and doc["n"] == ord(text) - 63
+        assert [doc[k] for k in ("kappa", "local_min", "local_max", "witness")] == [None] * 4
+
     def test_tampered_trace_exit_2(self, capsys, files, tmp_path):
         from unicon4 import construct, format_graph6 as fg
         g = construct.oracle_graphs(7)[0]

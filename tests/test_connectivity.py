@@ -283,11 +283,12 @@ class TestAgainstNetworkx:
 
 @pytest.mark.parametrize("run, most", [
     (lambda g: is_k_connected(g, 4), 0), (removable_edges, 0), (decompose, 0),
-    (connectivity_report, 10)], ids=["is_k_connected", "removable_edges", "decompose",
-                                     "connectivity_report"])
+    (connectivity_report, 0)], ids=["is_k_connected", "removable_edges", "decompose",
+                                    "connectivity_report"])
 def test_square_of_cycle_counts_without_flows(monkeypatch, run, most):
     # on C16^2 the greedy stage settles every count of the first three, and
-    # all but a few of the report's uncapped pairs
+    # of the report's kappa, and the report fills every pair from kappa
+    # (at most 10 flows when it counted each pair)
     calls = []
     flow = connectivity._flow_paths
     for module in (connectivity, chording, transform):
@@ -457,6 +458,17 @@ class TestReport:
                 assert rep.kappa == min(nonadj)
             else:
                 assert rep.kappa == g.n - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matrix_matches_local_connectivity(self, data):
+        # pairs whose lesser degree is kappa are filled without a count
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        g = reference.random_graph(rng, data.draw(st.integers(2, 10)), rng.choice([0.3, 0.5, 0.7, 0.9]))
+        rep = connectivity_report(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                assert rep.local[u][v] == rep.local[v][u] == local_connectivity(g, u, v), (u, v)
 
     def test_verdict_matches_is_uniformly_4_connected(self):
         rng = random.Random(53)

@@ -137,13 +137,15 @@ class TestOracle:
     def test_census_labels_only_pruned_children(self, monkeypatch):
         # the children of census(8) that pass every mask check, one per orbit
         # of miss-sets under the parent's automorphisms, each labeled once:
-        # 1,691 before the max-degree rule and the forest test, and 385, in
-        # 2,243 search nodes, before the orbits and first-path pruning
-        assert self._count_searches(monkeypatch, 8) == (242, 1411)
+        # 1,691 before the max-degree rule and the forest test; 385, in
+        # 2,243 search nodes, before the orbits and first-path pruning; and
+        # 242, in 1,411, before the neighbourhood-edge tie break
+        assert self._count_searches(monkeypatch, 8) == (202, 1173)
 
     def test_census9_labels_one_child_per_orbit(self, monkeypatch):
-        # 3,765, in 14,526 search nodes, before the orbits and first-path pruning
-        assert self._count_searches(monkeypatch, 9) == (2527, 9836)
+        # 3,765, in 14,526 search nodes, before the orbits and first-path
+        # pruning, and 2,527, in 9,836, before the neighbourhood-edge tie break
+        assert self._count_searches(monkeypatch, 9) == (1908, 7501)
 
     @staticmethod
     def _levels(n):
@@ -189,6 +191,13 @@ class TestOracle:
                     kept = {canonical_cert(c) for c in construct._children(parent, n - 5, gens)}
                     alone = {canonical_cert(c) for c in construct._children(parent, n - 5, [])}
                     assert kept == alone, (n, format_graph6(parent))
+
+    def test_levels_match_growth_without_deletion(self):
+        # the max-degree rule, the neighbourhood-edge tie break and the
+        # orbits only drop children: each level keeps every class
+        for n in range(5, 9):
+            levels = [{canonical_cert(g) for g in level} for level in self._levels(n)]
+            assert levels == reference.census_levels_without_deletion(n), n
 
     def test_degree5_forest(self):
         def rows(g):

@@ -361,6 +361,25 @@ class TestCanonical:
                 assert (graph_core._refine(g._adj, split, [1 << v])
                         == reference.refine_all_cells(g._adj, split))
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=12), st.data())
+    def test_leaves_compare_row_by_row_as_by_code(self, g, data):
+        # a second leaf, once a random labeling and once the first one moved
+        # by a recorded automorphism, against the first: it becomes the best
+        # leaf, ties it, or loses, as its integer code compares
+        first = tuple(data.draw(st.permutations(range(g.n))))
+        autos = graph_core._canonical_search(g)[1]
+        p = data.draw(st.sampled_from(autos)) if autos else tuple(range(g.n))
+        for second in (tuple(data.draw(st.permutations(range(g.n)))), tuple(p[v] for v in first)):
+            search = graph_core._CanonSearch(g._adj, g.n)
+            search._leaf(first, [0])
+            search._leaf(second, [1])
+            codes = reference.leaf_code(g._adj, first), reference.leaf_code(g._adj, second)
+            best = second if codes[1] < codes[0] else first
+            assert search.best_order == best
+            assert Graph._of(search.best_rows) == relabel(g, {v: i for i, v in enumerate(best)})
+            assert len(search.autos) == (codes[0] == codes[1])
+
     def test_labelings_and_automorphisms_pinned(self):
         # decompose traces follow these vertex orders, not only the
         # certificates, so the exact labeling and group of each graph is pinned

@@ -264,6 +264,19 @@ def test_canonical_search_is_built_in_one_helper():
     assert found == CANON_SEARCH_CALLERS
 
 
+# a class is labeled with its generators only where the census grows a
+# level and where generation meets an output, so no second labeling path
+# into the census can come back.  May only shrink.
+LABELED_CALLERS = {"construct._grow", "construct.generate_catalog"}
+
+
+def test_classes_are_labeled_in_two_places():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _flow_callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, "_labeled")
+    assert found == LABELED_CALLERS
+
+
 # a class's automorphism group is closed from the generators that the search
 # labeling it recorded, so no module calls automorphism_group, which would
 # search the class a second time; it is public API only.  May only shrink.
