@@ -351,16 +351,24 @@ def is_uniformly_4_connected(g: Graph) -> tuple[bool, Witness | None]:
         cut = _some_small_cut(g, 4)
         return False, CutWitness(frozenset(cut))
     # every pair now has local connectivity >= 4; look for a pair above 4
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        if g.degree(u) < 5:
-            continue
-        for v in range(u + 1, g.n):
-            if g.degree(v) < 5:
-                continue
-            if _local_conn(g._adj, u, v, 5, full, True) >= 5:
-                return False, _fan_witness(g, u, v)
+    above = _pair_above_4(g._adj)
+    if above is not None:
+        return False, _fan_witness(g, *above)
     return True, None
+
+
+def _pair_above_4(adj: Sequence[int]) -> Pair | None:
+    """The first pair u < v, in lexicographic order, with five internally
+    disjoint paths in the graph with these rows, or None.  A pair needs
+    five neighbours each for that, the edge uv counted as a path, so only
+    pairs of degree >= 5 are counted."""
+    full = (1 << len(adj)) - 1
+    high = [v for v, row in enumerate(adj) if row.bit_count() >= 5]
+    for i, u in enumerate(high):
+        for v in high[i + 1:]:
+            if _local_conn(adj, u, v, 5, full, True) >= 5:
+                return u, v
+    return None
 
 
 def _fan_witness(g: Graph, u: int, v: int) -> FanWitness:

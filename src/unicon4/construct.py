@@ -4,10 +4,10 @@ generation of every uniformly 4-connected graph up to a target order
 spec per orbit of each host's automorphism group on integer spec keys; an
 independent census oracle that grows every candidate isomorphism class one
 vertex at a time, adding only vertices of the greatest degree and, among
-those, of the most edges among their neighbours, and keeping the degree >= 5
-vertices a forest (n <= 10); decomposition of any uniformly 4-connected
-graph back to a base with a replayable trace; and the report that compares
-all three.
+those, of the most edges among their neighbours, keeping the degree >= 5
+vertices a forest and every pair at local connectivity <= 4 (n <= 11);
+decomposition of any uniformly 4-connected graph back to a base with a
+replayable trace; and the report that compares all three.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
-from .connectivity import _components, is_uniformly_4_connected
+from .connectivity import _components, _pair_above_4, is_uniformly_4_connected
 from .graph_core import (Graph, GraphError, add_edges, canonical_cert, format_graph6,
                          square_of_cycle, _canonical_search, _cert_of, _form_from, _group, _iso_from,
                          _mask_bits)
@@ -326,16 +326,10 @@ def _degree5_forest(rows: Sequence[int]) -> bool:
 
 def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
     """Whether the graph with these rows meets the three necessary bounds
-    of _oracle: minimum degree 4, at most 3 common neighbors for an
-    adjacent pair and 4 for a non-adjacent pair, and a forest on the
-    vertices of degree >= 5."""
-    if min(row.bit_count() for row in rows) < 4:
-        return False
-    for u, row in enumerate(rows):
-        for v in range(u + 1, len(rows)):
-            if (row & rows[v]).bit_count() > (3 if row >> v & 1 else 4):
-                return False
-    return _degree5_forest(rows)
+    of _oracle: minimum degree 4, a forest on the vertices of degree >= 5,
+    and no pair above 4 (_pair_above_4)."""
+    return (min(row.bit_count() for row in rows) >= 4 and _degree5_forest(rows)
+            and _pair_above_4(rows) is None)
 
 
 # a census level: each class's canonical form, with its generators (Labeled)
@@ -351,20 +345,19 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
 
     k misses (in G) a set S of at most maxdeg vertices whose complement
     degree is still below maxdeg, and sees every other vertex.  A miss-set
-    already in the orbit of a kept one is skipped; the rest are checked on
-    masks, cheapest first, before any graph is built or labeled.  First
-    the degree: k gets degree k - |S| and no old vertex may end above it,
-    so no |S| is tried that an old vertex's degree already exceeds, and an
-    old vertex of degree k - |S| must lie in S.  Then the common-neighbor
-    bound of _oracle: k must not see both ends of a pair already at it,
-    and must keep it with each old vertex.  Then the rest of the key: an
-    old vertex that ties k's degree, one of degree k - |S| in S or one of
-    degree k - |S| - 1 that k sees, may not have more edges among its
-    neighbours than k has.  It has the parent's count, counted once per
-    parent on first need, plus, when k sees it, its common neighbours
-    with k; k has the parent's edges less those at a vertex of S.  Last,
-    the vertices of degree >= 5 must still induce a forest
-    (_degree5_forest).
+    already in the orbit of a kept one is skipped; the rest are checked,
+    cheapest first, before any graph is built or labeled.  First, on
+    masks, the degree: k gets degree k - |S| and no old vertex may end
+    above it, so no |S| is tried that an old vertex's degree already
+    exceeds, and an old vertex of degree k - |S| must lie in S.  Then the
+    rest of the key: an old vertex that ties k's degree, one of degree
+    k - |S| in S or one of degree k - |S| - 1 that k sees, may not have
+    more edges among its neighbours than k has.  It has the parent's
+    count, counted once per parent on first need, plus, when k sees it,
+    the edges from k to its neighbours; k has the parent's edges less
+    those at a vertex of S.  Last, on the child's rows, the vertices of
+    degree >= 5 must still induce a forest (_degree5_forest) and no pair
+    may have five internally disjoint paths (_pair_above_4).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
@@ -373,8 +366,6 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
     for v in range(k):
         by_deg[deg[v]] |= 1 << v
     avail = [v for v in range(k) if k - 1 - deg[v] < maxdeg]
-    tight = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(k), 2)
-             if (adj[a] & adj[b]).bit_count() == (3 if adj[a] >> b & 1 else 4)]
     edges = sum(deg) // 2
     hood: list[int] = []  # the edges among each vertex's neighbours, on first need
     full = (1 << k) - 1
@@ -390,10 +381,6 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
             new = full ^ miss_mask
             if new & top:
                 continue
-            if any(new & t == t for t in tight):
-                continue
-            if any((adj[u] & new).bit_count() > (3 if new >> u & 1 else 4) for u in range(k)):
-                continue
             ties = new & below
             if top or ties:
                 if not hood:
@@ -404,7 +391,7 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
                         or any(hood[u] + (adj[u] & new).bit_count() > tk for u in _mask_bits(ties))):
                     continue
             rows = [row | 1 << k if new >> u & 1 else row for u, row in enumerate(adj)] + [new]
-            if _degree5_forest(rows):
+            if _degree5_forest(rows) and _pair_above_4(rows) is None:
                 todo = [miss_mask]
                 while todo:
                     m = todo.pop()
@@ -420,17 +407,19 @@ def _oracle(n: int) -> dict[bytes, Graph]:
     Grows the census one isomorphism class at a time.  Three bounds are
     necessary for uniform 4-connectivity, where every pair has local
     connectivity exactly 4: minimum degree 4 (complement degree at most
-    n - 5); common neighbors, since a pair with c of them has at least c
-    internally disjoint paths, c + 1 when adjacent, so c is at most 3 for
-    an adjacent pair and at most 4 for a non-adjacent one; and Mader's
-    forest: a uniformly 4-connected graph is minimally 4-connected
-    (deleting an edge uv leaves u and v with local connectivity 3), so its
-    vertices of degree >= 5 induce a forest (Mader 1972).  _children keeps
-    them as it adds a vertex, and _meets_uniform_bounds checks them on a
-    whole graph, which is how decompose screens its hosts.  All three are
-    hereditary: complement degrees, common-neighbor counts and the set of
-    degree >= 5 vertices only grow as vertices are added, so every induced
-    subgraph of a graph that meets them meets them too.  Take a graph G on
+    n - 5); no pair above 4, that is, no pair with five internally
+    disjoint paths (_pair_above_4; a pair with c common neighbours has c
+    such paths, c + 1 when adjacent, which the flow kernel counts first);
+    and Mader's forest: a uniformly 4-connected graph is minimally
+    4-connected (deleting an edge uv leaves u and v with local
+    connectivity 3), so its vertices of degree >= 5 induce a forest (Mader
+    1972).  _children keeps them as it adds a vertex, and
+    _meets_uniform_bounds checks them on a whole graph, which is how
+    decompose screens its hosts.  All three are hereditary: complement
+    degrees and the set of degree >= 5 vertices only grow as vertices are
+    added, and so does local connectivity, since a path in an induced
+    subgraph is a path in the whole graph; so every induced subgraph of a
+    graph that meets them meets them too.  Take a graph G on
     k + 1 vertices that meets them, and a vertex v of the greatest key
     (degree, number of edges among its neighbours), which an isomorphism
     preserves (a canonical deletion in McKay's sense).  G - v meets the
@@ -450,8 +439,8 @@ def _oracle(n: int) -> dict[bytes, Graph]:
     uniformity test.  Only canonical labeling and the connectivity layer
     are used; nothing from the expansion machinery is consulted.
     """
-    if not 5 <= n <= 10:
-        raise GraphError("the census is supported for 5 <= n <= 10")
+    if not 5 <= n <= 11:
+        raise GraphError("the census is supported for 5 <= n <= 11")
     level: Level = {Graph(1): []}
     for _ in range(1, n):
         level = _grow(level, n - 5)

@@ -143,8 +143,9 @@ def _meets_census_bounds(g: Graph, n: int) -> bool:
 def census_levels_without_deletion(n: int):
     """The certificate sets of the census levels of order n, on 1 to n
     vertices, grown with no deletion rule: every one-vertex extension of
-    every class is built and kept when it meets _meets_census_bounds and
-    its vertices of degree >= 5 induce a forest."""
+    every class is built and kept when it meets _meets_census_bounds, its
+    vertices of degree >= 5 induce a forest and no pair of them has five
+    internally disjoint paths, as networkx counts them."""
     level = {Graph(1)}
     levels = [{canonical_cert(g) for g in level}]
     for k in range(1, n):
@@ -153,11 +154,24 @@ def census_levels_without_deletion(n: int):
             for size in range(k + 1):
                 for miss in itertools.combinations(range(k), size):
                     child = add_vertex_with_neighbors(g, [v for v in range(k) if v not in miss])
-                    if _meets_census_bounds(child, n) and _high_degree_forest(child):
+                    if (_meets_census_bounds(child, n) and _high_degree_forest(child)
+                            and not _pair_above_4(child)):
                         grown.add(canonical_form(child))
         level = grown
         levels.append({canonical_cert(g) for g in level})
     return levels
+
+
+def _pair_above_4(g: Graph) -> bool:
+    """Whether two vertices of degree >= 5 have five internally disjoint
+    paths, by networkx's flow (an edge between them counts as one)."""
+    import networkx as nx
+    from networkx.algorithms.connectivity import local_node_connectivity
+
+    h = nx.Graph(g.edges())
+    high = [v for v in range(g.n) if g.degree(v) >= 5]
+    return any(local_node_connectivity(h, u, v, cutoff=5) >= 5
+               for u, v in itertools.combinations(high, 2))
 
 
 def _high_degree_forest(g: Graph) -> bool:

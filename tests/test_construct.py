@@ -37,7 +37,7 @@ class TestOracle:
         with pytest.raises(GraphError):
             brute_force_uniform(4)
         with pytest.raises(GraphError):
-            brute_force_uniform(11)
+            brute_force_uniform(12)
 
     def test_census_digests(self):
         # sha256 of the sorted certificates, one per line, as taken from
@@ -138,14 +138,16 @@ class TestOracle:
         # the children of census(8) that pass every mask check, one per orbit
         # of miss-sets under the parent's automorphisms, each labeled once:
         # 1,691 before the max-degree rule and the forest test; 385, in
-        # 2,243 search nodes, before the orbits and first-path pruning; and
-        # 242, in 1,411, before the neighbourhood-edge tie break
-        assert self._count_searches(monkeypatch, 8) == (202, 1173)
+        # 2,243 search nodes, before the orbits and first-path pruning; 242,
+        # in 1,411, before the neighbourhood-edge tie break; and 202, in
+        # 1,173, before the pair bound
+        assert self._count_searches(monkeypatch, 8) == (172, 1059)
 
     def test_census9_labels_one_child_per_orbit(self, monkeypatch):
         # 3,765, in 14,526 search nodes, before the orbits and first-path
-        # pruning, and 2,527, in 9,836, before the neighbourhood-edge tie break
-        assert self._count_searches(monkeypatch, 9) == (1908, 7501)
+        # pruning; 2,527, in 9,836, before the neighbourhood-edge tie break;
+        # and 1,908, in 7,501, before the pair bound
+        assert self._count_searches(monkeypatch, 9) == (1131, 5384)
 
     @staticmethod
     def _levels(n):
@@ -161,7 +163,7 @@ class TestOracle:
         # n = 8 closure keeps, with generators in its canonical form's
         # coordinates; the group is closed here, apart from graph_core._group
         classes = [item for level in self._levels(8) for item in level.items()]
-        assert len(classes) == 1 + 2 + 4 + 11 + 23 + 51 + 70 + 31
+        assert len(classes) == 1 + 2 + 4 + 11 + 23 + 51 + 61 + 12
         labeled, real = [], construct._labeled
         monkeypatch.setattr(construct, "_labeled", lambda g: labeled.append(real(g)) or labeled[-1])
         forms = set(generate_catalog(8).representatives.values())
@@ -622,6 +624,13 @@ class TestDecompose:
         c8sq_plus = graph_core.add_edges(square_of_cycle(8), [(0, 3), (0, 4)])
         assert not construct._degree5_forest(rows(c8sq_plus))
         assert not construct._meets_uniform_bounds(rows(c8sq_plus))
+        # 4-connected, its only degree-5 vertices 1 and 4 adjacent with 3
+        # common neighbors, yet with five internally disjoint paths
+        fm = graph_core.parse_graph6("Fm}jg")
+        assert construct._degree5_forest(rows(fm))
+        assert (fm.adj_mask(1) & fm.adj_mask(4)).bit_count() == 3
+        assert connectivity.local_connectivity(fm, 1, 4) == 5
+        assert not construct._meets_uniform_bounds(rows(fm))
 
     def test_screened_hosts_are_not_uniform(self, monkeypatch):
         # networkx shares no code with the screen: each sampled host it

@@ -309,6 +309,23 @@ def test_paths_are_enumerated_only_by_the_sweep():
         assert found == callers, callee
 
 
+# one loop asks whether some pair has five internally disjoint paths, and it
+# serves the uniformity test, the census and decompose's screen; construct
+# counts no disjoint paths of its own.  May only shrink.
+PAIR_BOUND_CALLERS = {"connectivity.is_uniformly_4_connected", "construct._children",
+                      "construct._meets_uniform_bounds"}
+PATH_COUNTERS = ("_local_conn", "_flow_paths", "_greedy_paths", "local_connectivity",
+                 "disjoint_path_fan")
+
+
+def test_pairs_are_bounded_by_one_loop():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    found = set().union(*(_flow_callers(tree, module, "_pair_above_4") for module, tree in trees.items()))
+    assert found == PAIR_BOUND_CALLERS
+    counts = set().union(*(_flow_callers(trees["construct"], "construct", c) for c in PATH_COUNTERS))
+    assert counts == set()
+
+
 def test_flow_caller_finder_sees_a_private_count():
     tree = ast.parse(
         "def _levels(adj, p, alive):\n"
