@@ -4,14 +4,14 @@ pair), the edge reduction used to undo them, removability of edges in both
 its direct and its structural 3-separator form, and quasi-4-compatibility
 of an operation's parameter set.
 
-The structural form asks for a 3-set S that splits g - xy, for an edge xy
-of a 4-connected g, into two components holding x and y.  By Menger's
-theorem g has 4 internally disjoint x-y paths, the edge xy among them at
-most once, so g - xy keeps at least 3.  S avoids x and y, so it separates
-them only if it holds an interior vertex of every such path; with 3 paths
-and |S| = 3 it holds exactly one of each, and 4 paths leave no such S.
-So `_separated` runs one flow and tries only the products of the 3 paths'
-interiors, not all C(n - 2, 3) 3-sets.
+Both removability forms are read off capped counts of disjoint paths
+across the removed edge, by the kernel `_local_conn`, with no global
+connectivity test and no sweep over 3-sets.  The structural form asks for
+a 3-set S that splits g - xy, for an edge xy of a 4-connected g, into two
+components holding x and y.  Every component of g - xy - S holds x or y,
+else its neighbourhood, inside S, would be a 3-cut of g; so S splits as
+asked exactly when it separates x from y and leaves each of them a
+neighbour on its side.  `_removable` and `_separated` give the proofs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from . import chording
 from .chording import DEFAULT_BUDGET, SearchBudget
-from .connectivity import _components, _ends, _flow_paths, _kappa, is_k_connected
+from .connectivity import _ends, _kappa, _local_conn, is_k_connected
 from .graph_core import (Graph, GraphError, _form_from, _mask_bits, add_vertex_with_neighbors,
                          remove_edges)
 
@@ -171,9 +171,28 @@ def _reduce(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
 
 
 def _removable(g: Graph, x: int, y: int) -> bool:
-    """is_removable for an edge x < y of a graph known to be 4-connected."""
-    h, _ = _reduce(g, x, y)
-    return h.n >= 5 and is_k_connected(h, 4)
+    """is_removable for an edge x < y of a graph known to be 4-connected.
+
+    Let X be {x} if the reduction h keeps x, else N(x) - y, which h
+    completes into a clique; Y likewise for y.  Take S of at most 3
+    vertices of h.  g - S is connected, so each component of g - S - xy
+    holds x or y.  A path of g - S - xy becomes a walk of h - S once each
+    pass c-w-d through a deleted endpoint w is replaced by the clique edge
+    cd, and a path that ends at a deleted x enters it from X - S.  So
+    every vertex of h - S reaches X - S or Y - S, each connected, and
+    h - S is disconnected only if S separates some a in X from some b in
+    Y, a != b and non-adjacent in h.  Hence h, on at least 5 vertices, is
+    4-connected iff each such pair has 4 internally disjoint paths: at
+    most 9 capped counts.
+    """
+    h, ids = _reduce(g, x, y)
+    if h.n < 5:
+        return False
+    sides = [[ids[w]] if w in ids else [ids[v] for v in _mask_bits(g._adj[w] & ~(1 << other))]
+             for w, other in ((x, y), (y, x))]
+    adj, full = h._adj, (1 << h.n) - 1
+    return all(_local_conn(adj, a, b, 4, full, True) == 4
+               for a in sides[0] for b in sides[1] if a != b and not adj[a] >> b & 1)
 
 
 def is_removable(g: Graph, e: Pair) -> bool:
@@ -193,34 +212,36 @@ def _separated(g: Graph, x: int, y: int) -> bool:
     """Whether some 3-set splits g - xy as is_removable_structural describes,
     for an edge x < y of a 4-connected graph on at least 7 vertices.
 
-    That precondition gives g - xy at least 3 internally disjoint x-y
-    paths, so only the 3-sets with one vertex on each of them are tried.
-    It also gives every component C of g - xy - S one of x and y: else
-    N_g(C) would lie in S, a 3-cut of g.  So S splits g - xy as asked
-    exactly when it leaves two components of at least 2 vertices each.
+    g - xy has at least 3 internally disjoint x-y paths; with 4 no 3-set
+    separates x from y, which one count settles.  Otherwise a 3-set S
+    that splits g - xy as asked leaves a neighbour a of x on x's side and
+    a neighbour b of y on y's side: a is not y and not adjacent to y, b
+    likewise, and a, b are not adjacent.  S then separates {x, a} from
+    {y, b}, so contracting a into x and b into y leaves x-y local
+    connectivity below 4, the edge xy not counted.  Conversely, a cut of
+    at most 3 vertices between the contracted x and y separates x from y
+    in g - xy, so it is a 3-set with a on x's side and b on y's, and each
+    side holds 2 vertices.
     """
-    adj = list(g._adj)
-    adj[x] &= ~(1 << y)
-    adj[y] &= ~(1 << x)
-    full = (1 << g.n) - 1
-    paths = _flow_paths(adj, x, y, 4, full, None)
-    if len(paths) == 4:
+    adj, full = g._adj, (1 << g.n) - 1
+    if _local_conn(adj, x, y, 4, full, False) == 4:
         return False
-    for s in itertools.product(*(p[1:-1] for p in paths)):
-        alive = full
-        for c in s:
-            alive &= ~(1 << c)
-        comps = _components(adj, alive)
-        if len(comps) == 2 and min(c.bit_count() for c in comps) >= 2:
-            return True
+    for a in _mask_bits(adj[x] & ~adj[y] & ~(1 << y)):
+        for b in _mask_bits(adj[y] & ~adj[x] & ~adj[a] & ~(1 << x)):
+            rows = list(adj)  # a and b keep their rows; the alive mask drops them
+            for keep, gone in ((x, a), (y, b)):
+                for v in _mask_bits(adj[gone]):
+                    rows[v] |= 1 << keep
+                rows[keep] = (rows[keep] | adj[gone]) & ~(1 << keep)
+            if _local_conn(rows, x, y, 4, full & ~(1 << a) & ~(1 << b), False) < 4:
+                return True
     return False
 
 
 def removable_edges(g: Graph) -> list[Pair]:
-    edges = g.edges()
-    if edges and not is_k_connected(g, 4):
+    if g.n < 5 or not is_k_connected(g, 4):
         raise GraphError("reduction is defined on 4-connected graphs")
-    return [(x, y) for x, y in edges if _removable(g, x, y)]
+    return [(x, y) for x, y in g.edges() if _removable(g, x, y)]
 
 
 # -- the expansions -----------------------------------------------------------

@@ -205,7 +205,24 @@ def test_module_state_finder_sees_each_form():
 
 # outside connectivity, a flow runs only where the paths themselves are
 # needed; a count of paths asks connectivity._local_conn.  May only shrink.
-FLOW_CALLERS = {"chording._witness", "chording.find_quasi_chord", "transform._separated"}
+FLOW_CALLERS = {"chording._witness", "chording.find_quasi_chord"}
+
+
+# both removability forms are read off capped counts across the removed
+# edge: no global connectivity test of the reduced graph, no flow for the
+# paths themselves and no component search over 3-sets
+REMOVABILITY_AVOIDS = {
+    "transform._removable": ("is_k_connected", "_kappa"),
+    "transform._separated": ("_flow_paths", "_components"),
+}
+
+
+def test_removability_counts_across_the_edge():
+    tree = ast.parse((SRC / "transform.py").read_text(encoding="utf-8"))
+    for name, callees in REMOVABILITY_AVOIDS.items():
+        assert name in _flow_callers(tree, "transform", "_local_conn"), name
+        for callee in callees:
+            assert name not in _flow_callers(tree, "transform", callee), (name, callee)
 
 
 # inside connectivity, counts go through the kernel _local_conn alone, and

@@ -14,7 +14,7 @@ from unicon4 import (ConnectivityTooLow, Delta1Spec, Delta2Spec, EndCoverageViol
                      octahedron, octahedron_plus, reduce_edge, removable_edges, remove_edges,
                      square_of_cycle, validate_delta1, validate_delta2, vertex_connectivity,
                      verify_witness)
-from unicon4 import apply_delta, chording, format_graph6, transform
+from unicon4 import add_edges, apply_delta, chording, format_graph6, transform
 from unicon4.construct import _keyed_specs, _spec, generate_catalog
 from unicon4.transform import _clauses, _separated
 
@@ -141,6 +141,42 @@ class TestRemovability:
         for e in g.edges():
             assert is_removable(g, e) == is_removable_structural(g, e)
 
+    def test_edgeless_graph_refused(self):
+        # like is_removable, reduce_edge and the CLI: a graph that is not
+        # 4-connected is refused, not answered with an empty list
+        for g in (Graph(0), Graph(1), Graph(3), Graph(6)):
+            with pytest.raises(GraphError, match="reduction is defined on 4-connected graphs"):
+                removable_edges(g)
+
+    def test_direct_matches_the_reduction_and_networkx(self):
+        # a reference that shares no code with the capped counts: the
+        # reduction on neighbour sets, then networkx's global connectivity
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        graphs = [complete_graph(5), complete_graph(6), octahedron(), octahedron_plus()]
+        graphs += [square_of_cycle(n) for n in range(7, 17)] + _separated_cases("pool")
+        for _ in range(8):
+            n = rng.randint(7, 12)
+            chords = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+            graphs.append(reference.random_permuted(rng, add_edges(square_of_cycle(n), chords)))
+            graphs.append(random_4connected(rng, n))
+        branches = collections.Counter()
+        for g in graphs:
+            got = removable_edges(g)
+            for x, y in g.edges():
+                h, _ = reference.reduce_by_sets(g, x, y)
+                hx = nx.Graph(h.edges())
+                hx.add_nodes_from(range(h.n))
+                want = h.n >= 5 and nx.node_connectivity(hx) >= 4
+                assert ((x, y) in got) == want, (format_graph6(g), x, y)
+                deleted = (g.degree(x) == 4) + (g.degree(y) == 4)
+                branches[("both kept", "one kept", "both deleted")[deleted]] += 1
+                branches["common neighbour"] += deleted == 2 and any(
+                    g.has_edge(y, c) for c in g.neighbors(x))
+                branches["h.n < 5"] += h.n < 5
+        assert all(branches[b] for b in ("both kept", "one kept", "both deleted",
+                                         "common neighbour", "h.n < 5")), branches
+
     def test_direct_equals_structural_random(self):
         rng = random.Random(15)
         for _ in range(12):
@@ -165,20 +201,23 @@ def _separated_cases(name):
 
 
 class TestSeparated:
-    """_separated tries only the 3-sets with one vertex on each of three
-    disjoint x-y paths; the exhaustive sweep over all 3-sets checks it."""
+    """_separated counts x-y paths in g - xy once and, when there are only
+    3, counts again across each contraction of a private neighbour of x
+    into x and of y into y; the exhaustive sweep over all 3-sets checks it."""
 
     @pytest.mark.parametrize("family", ["squares", "pool", "random"])
     def test_matches_the_exhaustive_sweep(self, family, monkeypatch):
-        widths = collections.Counter()
-        flow = transform._flow_paths
+        # the first count of each edge runs on g's own rows, every later
+        # one on a contraction, which masks out the two merged vertices
+        counts = collections.Counter()
+        count = transform._local_conn
 
-        def counted(*args):
-            paths = flow(*args)
-            widths[len(paths)] += 1
-            return paths
+        def counted(adj, u, v, cap, alive, direct):
+            k = count(adj, u, v, cap, alive, direct)
+            counts["contracted" if alive != (1 << len(adj)) - 1 else f"whole-{k}"] += 1
+            return k
 
-        monkeypatch.setattr(transform, "_flow_paths", counted)
+        monkeypatch.setattr(transform, "_local_conn", counted)
         answers = collections.Counter()
         for g in _separated_cases(family):
             for x, y in g.edges():
@@ -186,16 +225,22 @@ class TestSeparated:
                 assert got == reference.separated_by_3set(g, x, y), (format_graph6(g), x, y)
                 answers[got] += 1
         assert answers[True] and answers[False]
-        assert set(widths) <= {3, 4} and widths[3]
+        assert set(counts) <= {"whole-3", "whole-4", "contracted"}
+        assert counts["whole-3"] and counts["contracted"]
         if family == "random":
-            assert widths[4]  # the early exit: no 3-set cuts 4 disjoint paths
+            assert counts["whole-4"]  # the early exit: no 3-set cuts 4 disjoint paths
 
     def test_four_paths_skip_the_component_search(self, monkeypatch):
-        def components(adj, alive):
-            raise AssertionError("a 3-set was tried although 4 disjoint paths exist")
+        calls = []
+        count = transform._local_conn
 
-        monkeypatch.setattr(transform, "_components", components)
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(transform, "_local_conn", counted)
         assert not _separated(complete_graph(7), 0, 1)
+        assert len(calls) == 1  # no contraction is counted
 
 
 class TestDelta1:
