@@ -141,7 +141,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
 
 def _cmd_removable(args) -> tuple[dict, int]:
     g = _load_graph(args.path, args.format)
-    if not is_k_connected(g, 4):
+    if g.n < 5 or not is_k_connected(g, 4):
         raise GraphError("removability is defined on 4-connected graphs")
     # the input is checked once here, so every edge goes to the helpers
     # that skip the public functions' per-call check

@@ -315,14 +315,15 @@ def to_dot(g: Graph, name: str = "G") -> str:
 # choices.  A refinement round splits every cell at once by its vertices'
 # counts into the cells and orders the pieces by count tuple; it counts
 # only into the pieces the previous round split off, as bit-sliced
-# masks, which gives the partitions, labelings and automorphisms of
-# counting into every cell.  The canonical form is the leaf form whose
-# upper-triangle bits, read row by row, are least; the search keeps the
-# best leaf's rows, compares each new leaf with them a row at a time, and
-# hands them out as the form, so no caller rebuilds it.  Discovered
-# automorphisms prune sibling branches, which keeps vertex-transitive
-# graphs (complete graphs, squared cycles) cheap.  Exactness was the
-# requirement; the n cap keeps the search trivially safe.
+# masks (a one-vertex piece's counts are its row), which gives the
+# partitions, labelings and automorphisms of counting into every cell.
+# The canonical form is the leaf form whose upper-triangle bits, read row
+# by row, are least; the search keeps the best leaf's rows, compares each
+# new leaf with them a row at a time, and hands them out as the form, so
+# no caller rebuilds it.  Discovered automorphisms prune sibling branches,
+# which keeps vertex-transitive graphs (complete graphs, squared cycles)
+# cheap.  Exactness was the requirement; the n cap keeps the search
+# trivially safe.
 
 
 def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]:
@@ -331,9 +332,13 @@ def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]
     # of each split; a count into any other cell is constant on each cell
     # or fixed by the counts into its sibling pieces, so it cannot split
     # a cell or reorder its pieces
-    while fresh and len(cells) < len(adj):  # a discrete partition is equitable
+    n = len(adj)
+    while fresh and len(cells) < n:  # a discrete partition is equitable
         cuts: list[int] = []  # splitter by splitter, each high count bit first
         for splitter in fresh:
+            if splitter & (splitter - 1) == 0:  # one vertex: its row is its one count bit
+                cuts.append(adj[splitter.bit_length() - 1])
+                continue
             # slices[b]: the vertices whose count into splitter has bit b set
             slices: list[int] = []
             while splitter:
@@ -351,16 +356,30 @@ def _refine(adj: Sequence[int], cells: list[int], fresh: list[int]) -> list[int]
         new_cells: list[int] = []
         fresh = []
         for cell in cells:
-            if cell & (cell - 1) == 0:  # singleton
-                new_cells.append(cell)
-                continue
             # cut by cut, zeros before ones: pieces in ascending count tuple order
-            pieces = [cell]
-            for s in cuts:
-                if 0 != cell & s != cell:
-                    pieces = [q for p in pieces for q in (p & ~s, p & s) if q]
-            new_cells += pieces
-            fresh += pieces[:-1]
+            pieces = None
+            if cell & (cell - 1):  # not a singleton
+                for s in cuts:
+                    one = cell & s
+                    if one == 0 or one == cell:
+                        continue
+                    if pieces is None:
+                        pieces = [cell ^ one, one]
+                        continue
+                    split = []
+                    for p in pieces:
+                        one = p & s
+                        if one and one != p:
+                            split.append(p ^ one)
+                            split.append(one)
+                        else:
+                            split.append(p)
+                    pieces = split
+            if pieces is None:
+                new_cells.append(cell)
+            else:
+                new_cells += pieces
+                fresh += pieces[:-1]
         cells = new_cells
     return cells
 
@@ -369,6 +388,7 @@ class _CanonSearch:
     def __init__(self, adj: Sequence[int], n: int):
         self.adj = adj
         self.n = n
+        self.nbrs = [_mask_bits(row) for row in adj]  # each vertex's neighbours, for the leaves
         # the best leaf: its labeling, path, and the rows of its form, row i
         # holding the position bits of order[i]'s neighbours
         self.best_order: tuple[int, ...] | None = None
@@ -395,13 +415,12 @@ class _CanonSearch:
         place = [0] * self.n  # vertex -> the bit of its position
         for i, v in enumerate(order):
             place[v] = 1 << i
+        nbrs = self.nbrs
         rows = []
         for i, v in enumerate(order):
-            row, mask = 0, self.adj[v]
-            while mask:
-                low = mask & -mask
-                row |= place[low.bit_length() - 1]
-                mask ^= low
+            row = 0
+            for u in nbrs[v]:
+                row |= place[u]
             if best is not None and row != best[i]:
                 differ = row ^ best[i]
                 if row & differ & -differ:  # greater than the best leaf
@@ -419,15 +438,23 @@ class _CanonSearch:
         for b, v in zip(self.best_order, order):
             auto[b] = v
         self.autos.append(tuple(auto))
-        return next(i for i, (b, v) in enumerate(zip(self.best_path, fixed)) if b != v)
+        i = 0  # the paths part before either ends, as no leaf has children
+        while self.best_path[i] == fixed[i]:
+            i += 1
+        return i
 
     def _descend(self, cells: list[int], fixed: list[int]) -> int:
-        # returns the depth to go back to: a node deeper than it returns at once
+        # returns the depth to go back to: a node deeper than it returns at
+        # once.  fixed is the path, one list that each child appends its
+        # vertex to and pops it from
         if len(cells) == self.n:  # discrete: a leaf
-            return self._leaf(tuple(c.bit_length() - 1 for c in cells), fixed)
+            return self._leaf(tuple([c.bit_length() - 1 for c in cells]), fixed)
         depth = len(fixed)
-        split_at = next(i for i, c in enumerate(cells) if c & (c - 1))
-        cell = cells[split_at]
+        for split_at, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        head, tail = cells[:split_at], cells[split_at + 1:]
+        adj, autos = self.adj, self.autos
         # orbit: the tried children, closed under the recorded automorphisms
         # that fix the prefix pointwise; a child inside it would open an
         # image of an explored subtree.  Until such an automorphism is
@@ -436,9 +463,9 @@ class _CanonSearch:
         gens: list[tuple[int, ...]] = []
         known = 0  # the recorded automorphisms gens has seen
         for v in _mask_bits(cell):
-            if len(self.autos) > known:
-                fresh = [a for a in self.autos[known:] if all(a[f] == f for f in fixed)]
-                known = len(self.autos)
+            if len(autos) > known:
+                fresh = [a for a in autos[known:] if [a[f] for f in fixed] == fixed]
+                known = len(autos)
                 gens += fresh
                 _extend(orbit, [a[u] for a in fresh for u in orbit], gens)
             if gens:
@@ -447,8 +474,10 @@ class _CanonSearch:
                 _extend(orbit, [v], gens)
             else:
                 orbit.add(v)
-            split = cells[:split_at] + [1 << v, cell ^ (1 << v)] + cells[split_at + 1:]
-            back = self._descend(_refine(self.adj, split, [1 << v]), fixed + [v])
+            bit = 1 << v
+            fixed.append(v)
+            back = self._descend(_refine(adj, head + [bit, cell ^ bit] + tail, [bit]), fixed)
+            fixed.pop()
             if back < depth:
                 return back
         return depth
@@ -460,7 +489,7 @@ def _extend(orbit: set, todo: list[int], gens: list[tuple[int, ...]]) -> None:
         u = todo.pop()
         if u not in orbit:
             orbit.add(u)
-            todo.extend(a[u] for a in gens)
+            todo += [a[u] for a in gens]
 
 
 def _canonical_search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int]]:

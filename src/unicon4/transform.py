@@ -153,6 +153,14 @@ def reduce_edge(g: Graph, e: Pair) -> tuple[Graph, dict[int, int]]:
 
 def _reduce(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
     """reduce_edge for an edge x < y of a graph known to be 4-connected."""
+    adj, gone = _reduction(g, x, y)
+    keep = [v for v in range(g.n) if not gone >> v & 1]
+    return _form_from(Graph._of(adj), keep), {old: new for new, old in enumerate(keep)}
+
+
+def _reduction(g: Graph, x: int, y: int) -> tuple[list[int], int]:
+    """The reduction of the edge x < y on g's own ids: its rows, which
+    still name the deleted endpoints, and the mask of those endpoints."""
     adj = list(g._adj)
     adj[x] &= ~(1 << y)
     adj[y] &= ~(1 << x)
@@ -161,37 +169,38 @@ def _reduce(g: Graph, x: int, y: int) -> tuple[Graph, dict[int, int]]:
         hood = adj[w]
         if hood.bit_count() != 3:
             continue
-        # xy is gone, so completing x's neighbourhood leaves y's degree alone;
-        # the rows still name a deleted endpoint, which _form_from drops
+        # xy is gone, so completing x's neighbourhood leaves y's degree alone
         for v in _mask_bits(hood):
             adj[v] |= hood & ~(1 << v)
         gone |= 1 << w
-    keep = [v for v in range(g.n) if not gone >> v & 1]
-    return _form_from(Graph._of(adj), keep), {old: new for new, old in enumerate(keep)}
+    return adj, gone
 
 
 def _removable(g: Graph, x: int, y: int) -> bool:
     """is_removable for an edge x < y of a graph known to be 4-connected.
 
-    Let X be {x} if the reduction h keeps x, else N(x) - y, which h
-    completes into a clique; Y likewise for y.  Take S of at most 3
-    vertices of h.  g - S is connected, so each component of g - S - xy
-    holds x or y.  A path of g - S - xy becomes a walk of h - S once each
-    pass c-w-d through a deleted endpoint w is replaced by the clique edge
-    cd, and a path that ends at a deleted x enters it from X - S.  So
-    every vertex of h - S reaches X - S or Y - S, each connected, and
-    h - S is disconnected only if S separates some a in X from some b in
-    Y, a != b and non-adjacent in h.  Hence h, on at least 5 vertices, is
-    4-connected iff each such pair has 4 internally disjoint paths: at
-    most 9 capped counts.
+    The reduction h is read off its rows on g's ids, as the graph they
+    induce on the alive mask, which drops the deleted endpoints; the
+    capped counts look at alive vertices only.  Let X be {x} if h keeps
+    x, else N(x) - y, which h completes into a clique; Y likewise for y.
+    Take S of at most 3 alive vertices.  g - S is connected, so each
+    component of g - S - xy holds x or y.  A path of g - S - xy becomes a
+    walk of h - S once each pass c-w-d through a deleted endpoint w is
+    replaced by the clique edge cd, and a path that ends at a deleted x
+    enters it from X - S.  So every vertex of h - S reaches X - S or
+    Y - S, each connected, and h - S is disconnected only if S separates
+    some a in X from some b in Y, a != b and non-adjacent in h.  Hence h,
+    on at least 5 vertices, is 4-connected iff each such pair has 4
+    internally disjoint paths inside the alive mask: at most 9 capped
+    counts.
     """
-    h, ids = _reduce(g, x, y)
-    if h.n < 5:
+    adj, gone = _reduction(g, x, y)
+    alive = (1 << g.n) - 1 & ~gone
+    if alive.bit_count() < 5:
         return False
-    sides = [[ids[w]] if w in ids else [ids[v] for v in _mask_bits(g._adj[w] & ~(1 << other))]
+    sides = [[w] if not gone >> w & 1 else _mask_bits(g._adj[w] & ~(1 << other))
              for w, other in ((x, y), (y, x))]
-    adj, full = h._adj, (1 << h.n) - 1
-    return all(_local_conn(adj, a, b, 4, full, True) == 4
+    return all(_local_conn(adj, a, b, 4, alive, True) == 4
                for a in sides[0] for b in sides[1] if a != b and not adj[a] >> b & 1)
 
 

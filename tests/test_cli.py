@@ -88,6 +88,15 @@ class TestRemovable:
         assert code == 2
         assert doc["message"] == "removability is defined on 4-connected graphs"
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graph_rejected_as_not_4_connected(self, capsys, tmp_path, n):
+        # once "connectivity needs at least 2 vertices", from the check itself
+        p = tmp_path / "tiny.edges"
+        p.write_text(f"n {n}\n")
+        code, doc = run(capsys, "removable", str(p))
+        assert code == 2
+        assert doc["message"] == "removability is defined on 4-connected graphs"
+
     def test_input_is_checked_once(self, capsys, monkeypatch, tmp_path):
         # one 4-connectivity check of the input covers every edge, and the
         # reduced graphs are judged by capped counts, not checked one by one

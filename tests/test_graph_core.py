@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +13,7 @@ from unicon4 import (FormatError, Graph, GraphError, add_edges, add_vertex_with_
                      delete_vertex, find_isomorphism, format_edge_list, format_graph6,
                      induced, k6_minus_edge, octahedron, octahedron_plus, parse_edge_list,
                      oracle_graphs, parse_graph6, remove_edges, square_of_cycle, to_dot)
-from unicon4 import graph_core, transform
+from unicon4 import construct, graph_core, transform
 from unicon4.graph_core import relabel
 
 import reference
@@ -361,6 +363,50 @@ class TestCanonical:
                 assert (graph_core._refine(g._adj, split, [1 << v])
                         == reference.refine_all_cells(g._adj, split))
 
+    @staticmethod
+    def _symmetric_family():
+        """Vertex-transitive and other highly symmetric graphs, whose searches
+        go deep and record many automorphisms, plus the census(8) classes and
+        the benchmark's pool."""
+        cube = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                         (0, 4), (1, 5), (2, 6), (3, 7)])
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)])
+        pins = json.loads((Path(__file__).resolve().parent.parent / "bench" / "pins.json")
+                          .read_text(encoding="utf-8"))
+        pool = [Graph(int(n), [tuple(e) for e in entry["edges"]])
+                for n, entries in sorted(pins["pool"].items()) for entry in entries]
+        return ([square_of_cycle(n) for n in range(5, 17)]
+                + [Graph(8, [(a, b) for a in range(4) for b in range(4, 8)]),
+                   Graph(8, [e for e in itertools.combinations(range(8), 2) if not cube.has_edge(*e)]),
+                   petersen]
+                + list(oracle_graphs(8)) + pool)
+
+    def test_every_refinement_of_a_search_matches_all_cells_reference(self, monkeypatch):
+        # each partition a search refines, at every depth, against the
+        # refinement keyed by counts into every cell: one call per node
+        refine, descend = graph_core._refine, graph_core._CanonSearch._descend
+        checked, depths = [], []
+
+        def refine_checked(adj, cells, fresh):
+            out = refine(adj, cells, fresh)
+            assert out == reference.refine_all_cells(adj, list(cells))
+            checked.append(out)
+            return out
+
+        def descend_counted(search, cells, fixed):
+            depths.append(len(fixed))
+            return descend(search, cells, fixed)
+
+        monkeypatch.setattr(graph_core, "_refine", refine_checked)
+        monkeypatch.setattr(graph_core._CanonSearch, "_descend", descend_counted)
+        for g in self._symmetric_family():
+            graph_core._canonical_search(g)
+        # every node's partition came from one checked call: 222 roots, 619
+        # children of a root, and 742 nodes below them, down to depth 6
+        assert len(checked) == len(depths) == 1583
+        assert sum(d >= 2 for d in depths) == 742 and max(depths) == 6
+
     @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=12), st.data())
     def test_leaves_compare_row_by_row_as_by_code(self, g, data):
@@ -394,6 +440,27 @@ class TestCanonical:
                                 graph_core.automorphism_group(g))).encode("ascii"))
         assert digest.hexdigest() == (
             "22b98acde9e11e087aaa7648b25531de4557134a486e4e0d7ef22a6425d9768a")
+
+    def test_search_triples_pinned(self, monkeypatch):
+        # all that a search returns: the labeling, the automorphisms in the
+        # order it recorded them (the generators the census carries), and
+        # the rows of the form, on the pool above plus every child census(8)
+        # labels
+        rng = random.Random(2020)
+        pool = list(reference.all_labeled_graphs(5))
+        pool += [square_of_cycle(n) for n in range(5, 17)]
+        pool += [reference.random_graph(rng, rng.randint(1, 16), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+                 for _ in range(200)]
+        search = construct._canonical_search
+        monkeypatch.setattr(construct, "_canonical_search", lambda g: pool.append(g) or search(g))
+        construct.brute_force_uniform(8)
+        monkeypatch.undo()
+        assert len(pool) == 1236 + 172
+        digest = hashlib.sha256()
+        for g in pool:
+            digest.update(repr(graph_core._canonical_search(g)).encode("ascii"))
+        assert digest.hexdigest() == (
+            "621d0134c1ea43e6a7962fd74f53c72e06a22e84438b35c0754bdc5a52abcd65")
 
     @staticmethod
     def _nodes(monkeypatch, graphs):
