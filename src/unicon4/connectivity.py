@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .graph_core import Graph, GraphError, _mask_bits
 
@@ -257,17 +257,10 @@ def disjoint_path_fan(g: Graph, u: int, v: int, k: int) -> tuple[tuple[int, ...]
     For adjacent pairs the edge itself is one of the paths.
     """
     _check_pair(g, u, v, "k", k)
-    alive = (1 << g.n) - 1
-    if g.has_edge(u, v):
-        paths = _flow_paths(g._adj, u, v, k - 1, alive, (u, v))
-        if len(paths) < k - 1:
-            return None
-        paths = [[u, v]] + paths
-    else:
-        paths = _flow_paths(g._adj, u, v, k, alive, None)
-        if len(paths) < k:
-            return None
-    return tuple(tuple(p) for p in paths)
+    # barring uv is a no-op when it is not an edge
+    paths = [[u, v]] if g.has_edge(u, v) else []
+    paths += _flow_paths(g._adj, u, v, k - len(paths), (1 << g.n) - 1, (u, v))
+    return tuple(tuple(p) for p in paths) if len(paths) == k else None
 
 
 def _probe_pairs(g: Graph):
@@ -314,10 +307,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         raise GraphError("connectivity needs at least 2 vertices")
     if g.n <= k or g.min_degree() < k:
         return False
-    if g.is_complete():
-        return True
-    full = (1 << g.n) - 1
-    return all(_local_conn(g._adj, u, v, k, full, True) >= k for u, v in _probe_pairs(g))
+    return _kappa(g, k) >= k
 
 
 def _components(adj: Sequence[int], alive: int) -> list[int]:
@@ -342,18 +332,17 @@ def _components(adj: Sequence[int], alive: int) -> list[int]:
 def is_uniformly_4_connected(g: Graph) -> tuple[bool, Witness | None]:
     """True iff every vertex pair has local connectivity exactly 4.
 
-    On failure the witness is a vertex cut of size < 4, or a pair together
-    with five internally-disjoint paths between it.
+    On failure the witness is the first least vertex cut in lexicographic
+    order, if below 4, or else the five-fan of the first pair above 4.
     """
     if g.n < 5:
         raise GraphError("a graph on fewer than 5 vertices cannot be 4-connected")
     if not is_k_connected(g, 4):
-        cut = _some_small_cut(g, 4)
-        return False, CutWitness(frozenset(cut))
+        return False, _witness(g, _kappa(g, 4), None)
     # every pair now has local connectivity >= 4; look for a pair above 4
     above = _pair_above_4(g._adj)
     if above is not None:
-        return False, _fan_witness(g, *above)
+        return False, _witness(g, 4, above)
     return True, None
 
 
@@ -371,19 +360,19 @@ def _pair_above_4(adj: Sequence[int]) -> Pair | None:
     return None
 
 
-def _fan_witness(g: Graph, u: int, v: int) -> FanWitness:
-    fan = disjoint_path_fan(g, u, v, 5)
-    if fan is None:
-        raise RuntimeError(f"no five-fan for pair ({u},{v}) of local connectivity >= 5")
-    return FanWitness((u, v), fan)
-
-
-def _some_small_cut(g: Graph, below: int) -> frozenset:
-    """A vertex cut of size < below; assumes one exists."""
-    for size in range(below):
-        for cut, _ in _cuts_of_size(g, size):
-            return cut
-    raise RuntimeError("no cut found below the requested size")
+def _witness(g: Graph, kappa: int, above: Pair | None) -> Witness:
+    """The witness that g is not uniformly 4-connected, from kappa(g), or a
+    bound >= 4 on it, and the first pair above 4: below 4, the first cut of
+    size kappa in lexicographic order, and no smaller cut exists; otherwise
+    the five-fan of the pair."""
+    if kappa >= 4:
+        fan = disjoint_path_fan(g, *above, 5)
+        if fan is None:
+            raise RuntimeError(f"no five-fan for pair {above} of local connectivity >= 5")
+        return FanWitness(above, fan)
+    for cut, _ in _cuts_of_size(g, kappa):
+        return CutWitness(cut)
+    raise RuntimeError(f"no vertex cut of size {kappa}")
 
 
 def _cuts_of_size(g: Graph, size: int):
@@ -406,15 +395,13 @@ def minimum_cuts(g: Graph) -> list[frozenset]:
     return [cut for cut, _ in _cuts_of_size(g, vertex_connectivity(g))]
 
 
-def fragments(g: Graph, cut: frozenset) -> list[Fragment]:
+def fragments(g: Graph, cut: Iterable[int]) -> list[Fragment]:
     """All unions of some but not all components of g - cut."""
-    alive = (1 << g.n) - 1
-    for c in cut:
-        alive &= ~(1 << g._vertex(c))
+    cut = frozenset(g._vertex(c) for c in cut)
     kappa = vertex_connectivity(g)
     if len(cut) != kappa:
         raise GraphError(f"cut size {len(cut)} is not the minimum {kappa}")
-    comps = _components(g._adj, alive)
+    comps = _components(g._adj, ((1 << g.n) - 1) & ~sum(1 << c for c in cut))
     if len(comps) < 2:
         raise GraphError("given set is not a vertex cut")
     out = []
@@ -462,12 +449,9 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
         for v in range(u + 1, g.n):
             k = kappa if min(deg[u], deg[v]) == kappa else _local_conn(g._adj, u, v, g.n, full, True)
             local[u][v] = local[v][u] = k
-    # the verdict and witness of is_uniformly_4_connected, read off the matrix
+    # the verdict and witness of is_uniformly_4_connected, read off the matrix;
+    # a complete graph below 4 has no cut to show
     above = next(((u, v) for u in range(g.n) for v in range(u + 1, g.n) if local[u][v] >= 5), None)
-    witness = None
-    if kappa < 4:
-        witness = None if g.is_complete() else CutWitness(_some_small_cut(g, 4))
-    elif above is not None:
-        witness = _fan_witness(g, *above)
-    return ConnectivityReport(kappa, tuple(tuple(r) for r in local),
-                              kappa >= 4 and above is None, witness)
+    uniform4 = kappa >= 4 and above is None
+    witness = None if uniform4 or kappa < 4 and g.is_complete() else _witness(g, kappa, above)
+    return ConnectivityReport(kappa, tuple(tuple(r) for r in local), uniform4, witness)

@@ -30,6 +30,9 @@ TRACE_SCHEMA = "unicon4.trace/v1"
 
 BASE_TAGS = ("C5SQ", "C6SQ")
 
+# the spec kind each trace op names; its fields are the step's JSON keys
+SPEC_KINDS = {"delta1": Delta1Spec, "delta2": Delta2Spec}
+
 # each base's certificate and canonical labeling, which never change; decompose
 # stops at them without a search
 _BASES = {"C5SQ": (b"D~{", (0, 1, 2, 3, 4)), "C6SQ": (b"E]~o", (0, 3, 1, 4, 2, 5))}
@@ -87,6 +90,11 @@ def base_graph(tag: str) -> Graph:
 # -- trace (de)serialization, schema v1 ---------------------------------------
 
 
+def _spec_kind(op: object) -> type | None:
+    """The spec kind that op names, or None; an unhashable op names none."""
+    return SPEC_KINDS.get(op) if isinstance(op, str) else None
+
+
 def trace_to_json(trace: ConstructionTrace) -> str:
     steps = []
     for s in trace.steps:
@@ -117,13 +125,12 @@ def trace_from_json(text: str) -> ConstructionTrace:
     for i, d in enumerate(doc.get("steps", [])):
         try:
             op = d["op"]
-            # a spec refuses any id that is not an int with SpecInvalid, a ValueError
-            if op == "delta1":
-                spec: CompatSet = Delta1Spec(d["x_set"], d["y_vertex"], d["ex_edges"])
-            elif op == "delta2":
-                spec = Delta2Spec(d["x_set"], d["y_set"], d["ex_edges"], d["ey_edges"])
-            else:
+            kind = _spec_kind(op)
+            if kind is None:
                 raise TraceFormatError(f"step {i}: unknown op {op!r}")
+            # the JSON keys are the spec's fields; a spec refuses any id that
+            # is not an int with SpecInvalid, a ValueError
+            spec: CompatSet = kind(*(d[f] for f in kind._fields))
             if not isinstance(d["post_cert"], str):
                 raise TypeError(f"post_cert must be a string, got {d['post_cert']!r}")
             steps.append(TraceStep(op, spec, d["post_cert"].encode("ascii")))
@@ -147,8 +154,10 @@ def replay(trace: ConstructionTrace, budget: SearchBudget = DEFAULT_BUDGET,
     """
     g = base_graph(trace.base)
     for i, step in enumerate(trace.steps):
-        want = Delta1Spec if step.op == "delta1" else Delta2Spec
-        if not isinstance(step.spec, want):
+        kind = _spec_kind(step.op)
+        if kind is None:
+            raise StepInvalid(i, f"unknown op {step.op!r}")
+        if not isinstance(step.spec, kind):
             raise StepInvalid(i, f"op {step.op} does not match spec kind")
         try:
             reduced = _clauses(g, step.spec)  # g is the base or a checked output: 4-connected

@@ -56,7 +56,7 @@ class Graph:
     # -- queries ---------------------------------------------------------
 
     def _vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
+        if not 0 <= _id(v) < self.n:
             raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
         return v
 
@@ -98,9 +98,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _id(v: object) -> int:
+    """v, once it is exactly an int: a bool or a float such as 1.0 would
+    name another vertex, and any other type fail with a bare error."""
+    if type(v) is not int:
+        raise GraphError(f"vertex ids must be integers, got {v!r}")
+    return v
+
+
+def _pair(edge: Edge) -> Edge:
+    """edge as a pair of checked ids, the lesser first."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise GraphError(f"an edge must be a pair of vertex ids, got {edge!r}") from None
+    return _norm_edge(_id(u), _id(v))
+
+
 def _or_edges(adj: list[int], edges: Iterable[Edge]) -> None:
     n = len(adj)
-    for u, v in edges:
+    for u, v in map(_pair, edges):
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
@@ -123,7 +140,7 @@ def _mask_bits(mask: int) -> list[int]:
 
 def remove_edges(g: Graph, drop: Iterable[Edge]) -> Graph:
     adj = list(g._adj)
-    for u, v in {_norm_edge(u, v) for u, v in drop}:
+    for u, v in set(map(_pair, drop)):
         if not (0 <= u < g.n and 0 <= v < g.n) or not adj[u] >> v & 1:
             raise GraphError(f"edge ({u},{v}) not in graph")
         adj[u] ^= 1 << v
@@ -133,12 +150,12 @@ def remove_edges(g: Graph, drop: Iterable[Edge]) -> Graph:
 
 def add_edges(g: Graph, extra: Iterable[Edge]) -> Graph:
     adj = list(g._adj)
-    _or_edges(adj, [_norm_edge(u, v) for u, v in extra])
+    _or_edges(adj, extra)
     return Graph._of(adj)
 
 
 def add_vertex_with_neighbors(g: Graph, nbrs: Iterable[int]) -> Graph:
-    nbrs = sorted(set(nbrs))
+    nbrs = sorted({_id(v) for v in nbrs})
     if nbrs and not (0 <= nbrs[0] and nbrs[-1] < g.n):
         raise GraphError(f"neighbor set {nbrs} mentions unknown vertices")
     x = 1 << g.n
@@ -150,7 +167,7 @@ def add_vertex_with_neighbors(g: Graph, nbrs: Iterable[int]) -> Graph:
 
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """Remove v, relabel the rest densely; returns (graph, old id -> new id)."""
-    if not 0 <= v < g.n:
+    if not 0 <= _id(v) < g.n:
         raise GraphError(f"vertex {v} not in graph")
     keep = [u for u in range(g.n) if u != v]
     return _form_from(g, keep), {old: new for new, old in enumerate(keep)}
@@ -158,7 +175,7 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
 
 def induced(g: Graph, verts: Iterable[int]) -> Graph:
     """Induced subgraph on verts, relabeled densely in ascending vertex order."""
-    keep = sorted(set(verts))
+    keep = sorted({_id(v) for v in verts})
     if not keep or keep[0] < 0 or keep[-1] >= g.n:
         raise GraphError(f"vertex set {keep} invalid for graph on {g.n} vertices")
     return _form_from(g, keep)
@@ -181,11 +198,7 @@ def square_of_cycle(n: int) -> Graph:
     """Cycle on n vertices plus all chords between vertices at circular distance 2."""
     if n < 5:
         raise GraphError("squared cycle is defined here for n >= 5")
-    edges = []
-    for i in range(n):
-        for d in (1, 2):
-            edges.append(_norm_edge(i, (i + d) % n))
-    return Graph(n, set(edges))
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in (1, 2)])
 
 
 def octahedron() -> Graph:

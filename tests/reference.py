@@ -284,6 +284,17 @@ def _components_without(g: Graph, cut) -> list:
     return comps
 
 
+def least_cut(g: Graph):
+    """The vertex connectivity of g and the first vertex cut, in
+    lexicographic order, of that size, by trying every vertex set in order
+    of size; a complete graph has no cut, so n - 1 and None."""
+    for size in range(g.n - 1):
+        for cut in itertools.combinations(range(g.n), size):
+            if len(_components_without(g, cut)) > 1:
+                return size, frozenset(cut)
+    return g.n - 1, None
+
+
 def ends_by_definition(g: Graph):
     """The ends of a non-complete g as (sorted body, sorted cut) pairs, sorted:
     over every vertex cut of the least size that has one, each union of

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from unicon4 import (CutWitness, FanWitness, Graph, GraphError, add_edges, complete_graph,
                      connectivity_report, decompose, delete_vertex, disjoint_path_fan, ends,
                      fragments, is_k_connected, is_uniformly_4_connected, k6_minus_edge,
-                     local_connectivity, minimum_cuts, octahedron, octahedron_plus,
+                     local_connectivity, minimum_cuts, octahedron, octahedron_plus, oracle_graphs,
                      removable_edges, square_of_cycle, vertex_connectivity)
 from unicon4 import chording, connectivity
 from unicon4.connectivity import _flow_paths, _kappa, _local_conn
@@ -369,6 +369,58 @@ class TestUniform4:
             disjoint_path_fan(square_of_cycle(8), u, v, k)
 
 
+def _witness_pool():
+    """Seeded random graphs with n = 5..12 at four densities, disconnected
+    unions of two, and ten graphs of each connectivity 1, 2 and 3."""
+    rng = random.Random(34)
+    pool = [reference.random_graph(rng, rng.randint(5, 12), p)
+            for p in (0.3, 0.5, 0.7, 0.9) for _ in range(40)]
+    for _ in range(20):
+        a = reference.random_graph(rng, rng.randint(2, 6), 0.7)
+        b = reference.random_graph(rng, rng.randint(3, 6), 0.7)
+        pool.append(Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]))
+    by_kappa = {1: 0, 2: 0, 3: 0}
+    while min(by_kappa.values()) < 10:
+        g = reference.random_graph(rng, rng.randint(5, 12), rng.choice([0.3, 0.4, 0.5]))
+        kappa = reference.least_cut(g)[0]
+        if by_kappa.get(kappa, 10) < 10:
+            by_kappa[kappa] += 1
+            pool.append(g)
+    return pool
+
+
+def test_witnesses_and_k_connectivity_match_the_reference_cut():
+    # a graph below 4-connectivity is refuted by the first cut, in
+    # lexicographic order, of the least size, in both the test and the report
+    cuts = 0
+    for g in _witness_pool():
+        kappa, cut = reference.least_cut(g)
+        assert [is_k_connected(g, k) for k in range(6)] == [kappa >= k for k in range(6)], g.edges()
+        verdict, witness = is_uniformly_4_connected(g)
+        rep = connectivity_report(g)
+        assert rep.kappa == kappa and (rep.uniform4, rep.witness) == (verdict, witness)
+        if kappa < 4:
+            assert not verdict and witness == CutWitness(cut), g.edges()
+            cuts += 1
+        else:
+            assert not isinstance(witness, CutWitness)
+    assert cuts >= 100
+
+
+# every disjoint_path_fan(g, u, v, k), k = 1..5, over the ordered pairs of
+# the pool below, as returned: the paths, their order, or None
+FAN_SHA256 = "4857b665111ae8460237fca432753c5e88cbcffc756745fd59ff4425baae71c2"
+
+
+def test_disjoint_path_fans_pinned():
+    pool = [square_of_cycle(8), complete_graph(6), octahedron(), octahedron_plus(), k6_minus_edge()]
+    pool += oracle_graphs(7)
+    fans = [disjoint_path_fan(g, u, v, k) for g in pool
+            for u, v in itertools.permutations(range(g.n), 2) for k in range(1, 6)]
+    assert sum(f is None for f in fans) > 0 and sum(f is not None for f in fans) > 0
+    assert hashlib.sha256(repr(fans).encode()).hexdigest() == FAN_SHA256
+
+
 class TestCutsFragmentsEnds:
     def test_octahedron_minimum_cuts_are_neighborhoods(self):
         cuts = sorted(sorted(c) for c in minimum_cuts(octahedron()))
@@ -398,6 +450,17 @@ class TestCutsFragmentsEnds:
         for cut, bad in (({-1, 2, 5, 6}, -1), ({1, 2, 5, 99}, 99)):
             with pytest.raises(GraphError, match=f"^vertex {bad} outside 0..7$"):
                 fragments(square_of_cycle(8), frozenset(cut))
+
+    def test_fragment_cut_is_a_frozenset_of_distinct_ids(self):
+        # the caller's list was once stored as the cut, and a repeated id
+        # passed the size check, then read as "not a vertex cut"
+        g = square_of_cycle(8)
+        frags = fragments(g, [0, 1, 4, 5])
+        assert frags == fragments(g, frozenset({0, 1, 4, 5}))
+        assert [sorted(f.body) for f in frags] == [[2, 3], [6, 7]]
+        assert {type(f.cut) for f in frags} == {frozenset}
+        with pytest.raises(GraphError, match="^cut size 3 is not the minimum 4$"):
+            fragments(g, [0, 0, 1, 4])
 
     def test_two_components_give_two_fragments(self):
         for cut in minimum_cuts(two_k5_share_4()):

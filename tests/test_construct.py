@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -755,7 +756,13 @@ class TestDecompose:
 
 class TestTraces:
     def test_json_round_trip(self):
+        # a step of each kind, its JSON keys its spec's fields; the delta-1
+        # step is not replayed, so it need not build anything
         trace = decompose(oracle_graphs(7)[2])
+        step1 = construct.TraceStep("delta1", transform.Delta1Spec((0, 1, 2), 3, [(0, 1)]), b"D~{")
+        trace = trace._replace(steps=trace.steps + (step1,))
+        for step, d in zip(trace.steps, json.loads(trace_to_json(trace))["steps"]):
+            assert set(d) == {"op", "post_cert", *step.spec._fields}
         assert trace_from_json(trace_to_json(trace)) == trace
 
     def test_empty_c5sq_trace_replays_to_k5(self):
@@ -834,6 +841,22 @@ class TestTraces:
         with pytest.raises(StepInvalid) as err:
             replay(trace)
         assert (err.value.index, err.value.cause) == (0, "op delta2 does not match spec kind")
+
+
+    @pytest.mark.parametrize("op", ["delta9", ["delta2"]])
+    def test_replay_refuses_a_step_whose_op_names_no_expansion(self, op):
+        # a Delta2Spec step under an unknown op was once replayed, and the
+        # trace it came from then written out, but not read back
+        trace = decompose(square_of_cycle(8))
+        assert [s.op for s in trace.steps] == ["delta2"]
+        bad = trace._replace(steps=(trace.steps[0]._replace(op=op),))
+        with pytest.raises(StepInvalid) as err:
+            replay(bad)
+        assert (err.value.index, err.value.cause) == (0, f"unknown op {op!r}")
+        doc = json.loads(trace_to_json(trace))
+        doc["steps"][0]["op"] = op
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(f'step 0: unknown op {op!r}')}$"):
+            trace_from_json(json.dumps(doc))
 
 
 class TestVerifyTheorem:

@@ -160,6 +160,21 @@ class TestMaskBuilt:
         (lambda g: add_vertex_with_neighbors(g, [7, 0]), "neighbor set [0, 7] mentions unknown vertices"),
         (lambda g: add_vertex_with_neighbors(g, [-1]), "neighbor set [-1] mentions unknown vertices"),
         (lambda g: delete_vertex(g, 6), "vertex 6 not in graph"),
+        # each was once read as another vertex: True as 1, 1.0 as 1
+        (lambda g: Graph(3, [(True, 2)]), "vertex ids must be integers, got True"),
+        (lambda g: g.degree(True), "vertex ids must be integers, got True"),
+        (lambda g: g.has_edge(0, 1.0), "vertex ids must be integers, got 1.0"),
+        (lambda g: delete_vertex(g, 1.0), "vertex ids must be integers, got 1.0"),
+        (lambda g: add_edges(g, [(0, False)]), "vertex ids must be integers, got False"),
+        (lambda g: remove_edges(g, [(0, 1.0)]), "vertex ids must be integers, got 1.0"),
+        (lambda g: add_vertex_with_neighbors(g, [1, True]), "vertex ids must be integers, got True"),
+        (lambda g: induced(g, [0, 1.0, 2]), "vertex ids must be integers, got 1.0"),
+        # and these once failed with a bare TypeError or ValueError
+        (lambda g: Graph(3, [(0, 1.0)]), "vertex ids must be integers, got 1.0"),
+        (lambda g: Graph(3, [(0, "1")]), "vertex ids must be integers, got '1'"),
+        (lambda g: Graph(3, [(0, 1, 2)]), "an edge must be a pair of vertex ids, got (0, 1, 2)"),
+        (lambda g: Graph(3, [5]), "an edge must be a pair of vertex ids, got 5"),
+        (lambda g: remove_edges(g, [(0,)]), "an edge must be a pair of vertex ids, got (0,)"),
     ])
     def test_bad_input_messages(self, build, message):
         g = octahedron()

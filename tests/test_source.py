@@ -343,6 +343,23 @@ def test_pairs_are_bounded_by_one_loop():
     assert counts == set()
 
 
+# global connectivity reads the Esfahanian-Hakimi probe pairs in one loop,
+# and every cut sweep runs at the connectivity itself: minimum cuts, ends
+# and the uniformity witness, whose cut is the first of size kappa.  So no
+# second probe loop and no sweep below kappa can come back.  May only shrink.
+CUT_CALLERS = {
+    "_probe_pairs": {"connectivity._kappa"},
+    "_cuts_of_size": {"connectivity.minimum_cuts", "connectivity._ends", "connectivity._witness"},
+}
+
+
+def test_cuts_are_swept_at_kappa():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    for callee, callers in CUT_CALLERS.items():
+        found = set().union(*(_flow_callers(tree, module, callee) for module, tree in trees.items()))
+        assert found == callers, callee
+
+
 def test_flow_caller_finder_sees_a_private_count():
     tree = ast.parse(
         "def _levels(adj, p, alive):\n"
