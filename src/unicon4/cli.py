@@ -259,90 +259,129 @@ def _cmd_convert(args) -> tuple[dict, int]:
     return payload, OK
 
 
-def _common(p, path: bool, budget: bool) -> None:
-    if path:
-        p.add_argument("path")
-        p.add_argument("--format", choices=["g6", "edges"], default=None,
-                       help="input format; default: by file extension")
-    p.add_argument("--human", action="store_true", help="plain-text output")
-    if budget:  # only the commands that sweep simple paths take one
-        p.add_argument("--max-paths", type=int, default=DEFAULT_BUDGET.max_paths,
-                       help="simple paths per vertex pair")
-        p.add_argument("--max-len", type=int, default=None, help="vertices per path")
+# one row per argument, in the order argparse is given them:
+# (option strings, dest, kind, default, choices, required, help); kind is
+# one of the four below, and a positional row has no option strings
+POSITIONAL, STR, INT, FLAG = "positional", "str", "int", "flag"
 
+_PATH = (
+    ((), "path", POSITIONAL, None, None, False, None),
+    (("--format",), "format", STR, None, ("g6", "edges"), False,
+     "input format; default: by file extension"),
+)
+_HUMAN = ((("--human",), "human", FLAG, False, None, False, "plain-text output"),)
+# only the commands that sweep simple paths take a budget
+_BUDGET = (
+    (("--max-paths",), "max_paths", INT, DEFAULT_BUDGET.max_paths, None, False,
+     "simple paths per vertex pair"),
+    (("--max-len",), "max_len", INT, None, None, False, "vertices per path"),
+)
+_OUTPUT = ((("-o", "--output"), "output", STR, None, None, False, None),)
+_MAX_N = ((("--max-n",), "max_n", INT, None, None, True, None),)
 
-def _output(p) -> None:
-    p.add_argument("-o", "--output", default=None)
-
-
-def _reduce_args(p) -> None:
-    p.add_argument("--edge", required=True, help="U,V")
-    _output(p)
-
-
-def _apply_args(p) -> None:
-    p.add_argument("--op", required=True, choices=["delta1", "delta2"])
-    p.add_argument("--x", required=True, help="A,B,C")
-    p.add_argument("--y", type=int, default=None, help="attachment vertex (delta1)")
-    p.add_argument("--yset", default=None, help="D,E,F (delta2)")
-    p.add_argument("--ex", required=True, help="U-V[,U-V...] edges removed inside --x")
-    p.add_argument("--ey", default="", help="U-V[,U-V...] edges removed inside --yset")
-    p.add_argument("--check-compat", action="store_true")
-
-
-def _replay_args(p) -> None:
-    p.add_argument("trace")
-    p.add_argument("--skip-compat", action="store_true",
-                   help="skip the per-step compatibility re-check")
-
-
-def _max_n(p) -> None:
-    p.add_argument("--max-n", type=int, required=True)
-
-
-def _convert_args(p) -> None:
-    p.add_argument("--to", required=True, choices=["g6", "edges", "dot"])
-    _output(p)
-
-
-# name: (handler, help, takes a graph path, takes a path budget, its own arguments)
+# name: (handler, help, its argument rows)
 _COMMANDS = {
-    "analyze": (_cmd_analyze, "connectivity report and uniform-4 verdict", True, False, None),
-    "removable": (_cmd_removable, "removability of every edge", True, False, None),
-    "reduce": (_cmd_reduce, "apply the edge reduction", True, False, _reduce_args),
-    "apply": (_cmd_apply, "apply a delta expansion", True, True, _apply_args),
-    "decompose": (_cmd_decompose, "trace a construction from a base graph", True, False, _output),
-    "replay": (_cmd_replay, "rebuild and validate a trace file", False, True, _replay_args),
-    "gen": (_cmd_gen, "generate all uniformly 4-connected graphs", False, True, _max_n),
-    "verify": (_cmd_verify, "generation vs oracle vs decomposition", False, True, _max_n),
-    "convert": (_cmd_convert, "convert between graph formats", True, False, _convert_args),
+    "analyze": (_cmd_analyze, "connectivity report and uniform-4 verdict", _PATH + _HUMAN),
+    "removable": (_cmd_removable, "removability of every edge", _PATH + _HUMAN),
+    "reduce": (_cmd_reduce, "apply the edge reduction", _PATH + _HUMAN + (
+        (("--edge",), "edge", STR, None, None, True, "U,V"),) + _OUTPUT),
+    "apply": (_cmd_apply, "apply a delta expansion", _PATH + _HUMAN + _BUDGET + (
+        (("--op",), "op", STR, None, ("delta1", "delta2"), True, None),
+        (("--x",), "x", STR, None, None, True, "A,B,C"),
+        (("--y",), "y", INT, None, None, False, "attachment vertex (delta1)"),
+        (("--yset",), "yset", STR, None, None, False, "D,E,F (delta2)"),
+        (("--ex",), "ex", STR, None, None, True, "U-V[,U-V...] edges removed inside --x"),
+        (("--ey",), "ey", STR, "", None, False, "U-V[,U-V...] edges removed inside --yset"),
+        (("--check-compat",), "check_compat", FLAG, False, None, False, None))),
+    "decompose": (_cmd_decompose, "trace a construction from a base graph",
+                  _PATH + _HUMAN + _OUTPUT),
+    "replay": (_cmd_replay, "rebuild and validate a trace file", _HUMAN + _BUDGET + (
+        ((), "trace", POSITIONAL, None, None, False, None),
+        (("--skip-compat",), "skip_compat", FLAG, False, None, False,
+         "skip the per-step compatibility re-check"))),
+    "gen": (_cmd_gen, "generate all uniformly 4-connected graphs", _HUMAN + _BUDGET + _MAX_N),
+    "verify": (_cmd_verify, "generation vs oracle vs decomposition", _HUMAN + _BUDGET + _MAX_N),
+    "convert": (_cmd_convert, "convert between graph formats", _PATH + _HUMAN + (
+        (("--to",), "to", STR, None, ("g6", "edges", "dot"), True, None),) + _OUTPUT),
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or with `only` a parser holding just that command's
-    sub-parser, which parses that command's lines the same way."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built from the argument rows: the reference for
+    every line, and the one thing that prints usage, help and errors."""
     ap = argparse.ArgumentParser(prog="unicon4",
                                  description="uniformly 4-connected graph toolkit")
     ap.add_argument("--version", action="version", version=f"unicon4 {__version__}")
-    # the full choice list as metavar keeps the usage line of an error such
-    # as "unrecognized arguments" the same when one sub-parser is built
-    sub = ap.add_subparsers(dest="cmd", required=True,
-                            metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
-    for name, (_, text, path, budget, extra) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=text)
-            _common(p, path, budget)
-            if extra is not None:
-                extra(p)
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (_, text, rows) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flags, dest, kind, default, choices, required, note in rows:
+            if kind == POSITIONAL:
+                p.add_argument(dest)
+            elif kind == FLAG:
+                p.add_argument(*flags, action="store_true", help=note)
+            else:
+                p.add_argument(*flags, type=int if kind == INT else None, default=default,
+                               choices=choices, required=required, help=note)
     return ap
+
+
+def _read_line(argv) -> argparse.Namespace | None:
+    """The Namespace argparse gives a well-formed command line, read from
+    the rows without building a parser; None for any other line.
+
+    Well-formed: argv[0] names a command, and every other token is either
+    exactly one of its option strings, used at most once, or a positional.
+    A value follows each non-flag option, and neither a value nor a
+    positional starts with "-".  The positional count is right, every
+    required option is given, int values convert and choices hold.  So
+    help, --version, abbreviations, --opt=value, "--", repeated options and
+    every error are left to the full parser."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = _COMMANDS[argv[0]][2]
+    options = {flag: row for row in rows for flag in row[0]}
+    values = {row[1]: row[3] for row in rows}
+    seen, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        row = options.get(token)
+        if row is None:
+            if token.startswith("-"):
+                return None
+            positionals.append(token)
+            continue
+        _, dest, kind, _, choices, _, _ = row
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if kind == FLAG:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    dests = [row[1] for row in rows if row[2] == POSITIONAL]
+    if len(positionals) != len(dests) or any(row[5] and row[1] not in seen for row in rows):
+        return None
+    values.update(zip(dests, positionals))
+    return argparse.Namespace(cmd=argv[0], **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # a command line that names its command needs only that sub-parser
-    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _read_line(argv)
+    if args is None:  # help, version, an error, or a form only argparse reads
+        args = _build_parser().parse_args(argv)
     try:
         payload, code = _COMMANDS[args.cmd][0](args)
     except BudgetExceeded as exc:

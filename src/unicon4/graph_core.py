@@ -36,6 +36,8 @@ class Graph:
     __slots__ = ("n", "_adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
+        if type(n) is not int:  # as _id: True would build Graph(1), 2.0 fail bare
+            raise GraphError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         adj = [0] * n

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -417,17 +418,87 @@ def _outcome(capsys, call):
     return code, out, err
 
 
+# the line shapes of the benchmark's query workload
+QUERY_LINES = [["analyze", "g.g6"], ["removable", "g.g6"],
+               ["decompose", "g.g6", "-o", "t.json"], ["replay", "t.json"]]
+
+
+def _value(row):
+    """A value each row accepts: a choice, an int or a plain string."""
+    _, _, kind, _, choices, _, _ = row
+    return choices[-1] if choices else "7" if kind == cli.INT else "v"
+
+
+def _words(row):
+    flags, _, kind, _, _, _, _ = row
+    return [flags[-1]] if kind == cli.FLAG else [flags[-1], _value(row)]
+
+
+def _lines(cmd):
+    """(well-formed lines, lines left to argparse) generated from the rows
+    of cmd: every subset of its optional options in two orders, and each
+    shape the reader must not read itself."""
+    rows = cli._COMMANDS[cmd][2]
+    positional = [_value(r) for r in rows if r[2] == cli.POSITIONAL]
+    required = [w for r in rows if r[5] for w in _words(r)]
+    optional = [r for r in rows if r[2] != cli.POSITIONAL and not r[5]]
+    good = []
+    for k in range(len(optional) + 1):
+        for subset in itertools.combinations(optional, k):
+            words = required + [w for r in subset for w in _words(r)]
+            good.append([cmd] + positional + words)
+            good.append([cmd] + [w for r in reversed(subset) for w in _words(r)] + required + positional)
+    base = [cmd] + positional + required
+    # an extra positional, and "--" before or after the rest
+    deferred = [base + ["x"], base + ["--"], base[:1] + ["--"] + base[1:]]
+    for row in rows:
+        flags, _, kind, _, choices, req, _ = row
+        if kind == cli.POSITIONAL:
+            continue
+        words = _words(row)
+        if len(flags[-1]) > 3:
+            deferred.append(base + [flags[-1][:-1]] + words[1:])  # abbreviated
+        deferred.append(base + words if req else base + words + words)  # repeated
+        if kind != cli.FLAG:
+            deferred.append(base + ["=".join(words)])
+            deferred.append(base + [flags[-1], "-1"])
+            deferred.append(base + [flags[-1]])  # no value
+        if kind == cli.INT:
+            deferred.append(base + [flags[-1], "0x"])
+        if choices:
+            deferred.append(base + [flags[-1], "nosuch"])
+        if req:
+            i = base.index(flags[-1])
+            deferred.append(base[:i] + base[i + 2:])  # missing required
+    return good, deferred
+
+
 class TestParserBuild:
-    # main builds only the named command's sub-parser; it must parse and
-    # report exactly as the full parser does
+    # main reads a well-formed line from the argument rows and leaves every
+    # other line to the full parser; both must give argparse's outcome
 
     @pytest.mark.parametrize("cmd", sorted(ARGV))
-    def test_one_sub_parser_gives_the_same_namespace(self, cmd):
-        assert cli._build_parser(cmd).parse_args(ARGV[cmd]) == cli._build_parser().parse_args(ARGV[cmd])
+    def test_reader_gives_argparse_namespace(self, cmd):
+        parser = cli._build_parser()
+        good, deferred = _lines(cmd)
+        for argv in good:
+            got = cli._read_line(argv)
+            assert got is not None, argv
+            assert got == parser.parse_args(argv), argv
+        for argv in deferred:
+            assert cli._read_line(argv) is None, argv
+
+    @pytest.mark.parametrize("argv", list(ARGV.values()) + QUERY_LINES, ids=str)
+    def test_ordinary_lines_need_no_parser(self, argv):
+        got = cli._read_line(argv)
+        assert got is not None and got == cli._build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv", [["-h"], ["analyze", "-h"], ["apply"], ["nosuch"], [],
                                       ["--version"], ["analyze", "g.g6", "extra"],
-                                      ["replay", "t.json", "--max-paths", "x"]],
+                                      ["replay", "t.json", "--max-paths", "x"], ["gen"],
+                                      ["convert", "g.g6", "--to", "png"],
+                                      ["replay", "t.json", "--max-paths", "0x"],
+                                      ["analyze", "g.g6", "-h"]],
                              ids=str)
     def test_main_reports_as_the_full_parser(self, argv, capsys):
         got = _outcome(capsys, lambda: main(list(argv)))

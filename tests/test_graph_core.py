@@ -182,6 +182,13 @@ class TestMaskBuilt:
             build(g)
         assert g == octahedron()
 
+    # True once built a graph equal to Graph(1), and 2.0 and "3" failed with
+    # a bare TypeError
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(GraphError, match=f"^vertex count must be an integer, got {re.escape(repr(n))}$"):
+            Graph(n)
+
 
 class TestFixtures:
     def test_square_of_cycle_5_is_k5(self):

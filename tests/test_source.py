@@ -82,11 +82,13 @@ def test_slow_import_finder_sees_each_form():
 
 def test_cli_runs_without_typing_dataclasses_or_inspect(tmp_path):
     # a fresh interpreter, as the unicon4 entry point starts one, that then
-    # runs every kind of command, so that no module loads them later either
+    # runs every kind of command, so that no module loads them later either;
+    # only argparse's gettext lookups load locale, so it shows that no
+    # parser was built for these well-formed lines
     code = ("import contextlib, io, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import unicon4.cli\n"
-            "slow = ('typing', 'dataclasses', 'inspect')\n"
+            "slow = ('typing', 'dataclasses', 'inspect', 'locale')\n"
             "print([m for m in slow if m in sys.modules])\n"
             "g, trace = sys.argv[2] + '/g.g6', sys.argv[2] + '/trace.json'\n"
             "with open(g, 'w') as fh:\n"
@@ -410,16 +412,16 @@ def test_edge_list_builder_finder_sees_each_form():
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
-def _file_openers(tree):
-    """Names of the top-level definitions that open a file, and "<module>"
-    for an open outside them."""
+def _calling(tree, callees):
+    """Names of the top-level definitions that call one of callees, and
+    "<module>" for a call outside them."""
     return {getattr(node, "name", "<module>") for node in tree.body
-            if any(isinstance(c, ast.Call) and _callee(c) in FILE_CALLS for c in ast.walk(node))}
+            if any(isinstance(c, ast.Call) and _callee(c) in callees for c in ast.walk(node))}
 
 
 def test_cli_opens_files_only_in_read_and_write():
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    assert _file_openers(tree) == {"_read", "_write"}
+    assert _calling(tree, FILE_CALLS) == {"_read", "_write"}
 
 
 def test_file_opener_finder_sees_each_form():
@@ -429,7 +431,15 @@ def test_file_opener_finder_sees_each_form():
         "def _dump(path, text):\n    path.write_text(text)\n"
         "def _quiet(args):\n    return _read(args.path)\n"
         "LOG = open('log.txt', 'w')\n")
-    assert _file_openers(tree) == {"_read", "_cmd", "_dump", "<module>"}
+    assert _calling(tree, FILE_CALLS) == {"_read", "_cmd", "_dump", "<module>"}
+
+
+# every command's arguments are declared once, as the rows of cli._COMMANDS;
+# the parser is built from them in one place, and the line reader reads them
+def test_arguments_are_added_only_by_the_parser_builder():
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _calling(ast.parse(path.read_text(encoding="utf-8")), {"add_argument"})}
+    assert found == {"cli._build_parser"}
 
 
 def test_bench_tracer_names_resolve(monkeypatch):
