@@ -8,13 +8,16 @@ acquires that property once a missing edge e is added.  A *quasi chord*
 joins two non-consecutive vertices of some cycle while meeting the cycle
 only at its endpoints.
 
-The existence queries quantify over all simple u-v paths.  Enumeration is
-exhaustive but budgeted: a truncated search that found no witness raises
-BudgetExceeded instead of answering False.  Most paths are settled
-without a flow: every detour but a direct edge leaves each end through its
-own off-path neighbour, so the off-path degrees of a subpath's ends (plus
-the direct edge) cap its detours, and a path on which no cap reaches the
-level a predicate reads is skipped.
+The existence queries quantify over all simple u-v paths, in (length, lex)
+order.  Enumeration is exhaustive but budgeted: a truncated search that
+found no witness raises BudgetExceeded instead of answering False.  Most
+paths are settled without a flow: every detour but a direct edge leaves
+each end through its own off-path neighbour, so the off-path degrees of a
+subpath's ends (plus the direct edge) cap its detours, and a path on which
+no cap reaches the level a predicate reads is skipped.  A sweep that the
+budget cannot truncate lists nothing: it builds its paths one length at a
+time, stops at the first hit, and for the two 3-circuit predicates drops
+every prefix on which fewer than two vertices can still reach a cap of 3.
 
 A whole sweep is settled first from degrees: off-path degree is at most
 degree minus path neighbours, of which an end has one or more, an interior
@@ -22,11 +25,12 @@ vertex two or more, and each end of a chord p[i]p[j] one more.  So a cap of
 3 (off-path degree 3 at two vertices, or 2 at both ends of a chord) needs
 two vertices of degree >= 4 among u, v or >= 5 elsewhere, in g, or in g + e
 for e-plus; a quasi chord needs degree >= 3 at u and v.  A settled sweep
-lists its paths only to tell "no path" from "unresolved", so it enumerates
+enumerates paths only to tell "no path" from "unresolved", so it lists
 none unless the budget can cut short that very sweep: one whose budget is
 at least the Bregman bound on its u-v path count (each path u...v, closed
 by v -> u, is a permutation counted by the permanent of A + I plus the
-entry (v, u)) cannot be truncated.
+entry (v, u)) cannot be truncated.  Only a sweep the budget can truncate
+lists its paths, through one cached enumeration.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import functools
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .connectivity import _check_pair, _flow_paths, _local_conn
 from .graph_core import Graph, GraphError, _mask_bits
@@ -122,6 +126,61 @@ def _simple_paths(g: Graph, u: int, v: int, max_paths: int,
     dfs([u], 1 << u)
     paths.sort(key=lambda p: (len(p), p))
     return tuple(paths), complete
+
+
+def _paths_in_order(adj: Sequence[int], u: int, v: int,
+                    screen: Sequence[int] | None = None) -> Iterator[PathVerts]:
+    """The simple u-v paths of the graph of adj in _simple_paths' order, by
+    (length, lex), with no budget and nothing sorted: the prefixes of each
+    length are kept in lex order and extended through ascending neighbours,
+    and a path is yielded as its last prefix is built.
+
+    Given screen, the rows of a supergraph of adj, a prefix P is dropped with
+    its extensions once fewer than two vertices can still reach "off-path
+    degree + chord flag >= 3" in screen on a u-v path through P, which
+    _may_reach(screen, p, 3) needs: a vertex x of P reaches at most
+    |N(x) - P| + [x has a neighbour in P not next to it on P] - [x is P's
+    last vertex] (the path leaves that one through a neighbour off P, and
+    any later neighbour on the path leaves the off-path set as it flags a
+    chord), v at most |N(v) - P| + [two of N(v) lie in P] - [none does], and
+    a vertex off P at most its degree - 2, so only at degree >= 5.  Adding w
+    to P leaves every bound alone but those of w, v and w's earlier
+    neighbours on P that are not P's last vertex, whose bounds become
+    |N(x) - P - w| + 1, so strong, the vertices of P at >= 3, is kept as a mask.
+    """
+    target = 1 << v
+    if adj[u] & target:
+        yield u, v
+    if screen is None:
+        level = [((u,), 1 << u, 0)]
+    else:
+        high = sum(1 << x for x, row in enumerate(screen) if row.bit_count() >= 5) & ~target
+        level = [((u,), 1 << u, (screen[u].bit_count() >= 4) << u)]
+    while level:
+        grown = []
+        for p, seen, strong in level:
+            last = p[-1]
+            for w in _mask_bits(adj[last] & ~seen & ~target):
+                mask = seen | 1 << w
+                kept = strong
+                if screen is not None:
+                    back = screen[w] & seen & ~(1 << last)
+                    for x in _mask_bits(back & strong):
+                        if (screen[x] & ~mask).bit_count() < 2:
+                            kept &= ~(1 << x)
+                    if (screen[w] & ~mask).bit_count() + (back != 0) >= 4:
+                        kept |= 1 << w
+                    reach = kept.bit_count() + (high & ~mask).bit_count()
+                    if reach < 2:
+                        on = screen[v] & mask
+                        reach += (screen[v] & ~mask).bit_count() + (on & (on - 1) != 0) - (on == 0) >= 3
+                        if reach < 2:
+                            continue
+                q = p + (w,)
+                if adj[w] & target:
+                    yield q + (v,)
+                grown.append((q, mask, kept))
+        level = grown
 
 
 def _kn_path_count(n: int) -> int:
@@ -344,29 +403,39 @@ def clear_caches() -> None:
 
 
 def _sweep(key: tuple, g: Graph, u: int, v: int, budget: SearchBudget,
-           hit: Callable[[PathVerts], object], what: str, possible: bool) -> tuple | None:
+           hit: Callable[[PathVerts], object], what: str, possible: bool,
+           screen: Sequence[int] | None = None) -> tuple | None:
     """The first (p, hit(p)) with hit(p) not None over the simple u-v paths
-    in enumeration order, or None when there is none; cached under key and
-    budget.  A truncated sweep that found nothing raises BudgetExceeded, even
-    when possible is False: the degrees rule out every path and none is
-    screened, but the paths are still enumerated when the budget can
-    truncate this sweep, i.e. when max_len < n or max_paths is below both
-    P(n) and _path_bound, Bregman's bound on the permanent of A + I plus the
-    entry (v, u), which counts each u-v path closed into a cycle by v -> u."""
+    in (length, lex) order, or None when there is none; cached under key and
+    budget.  hit(p) must be None whenever _may_reach(screen, p, 3) is False,
+    when screen (rows of a supergraph of g) is given.
+
+    A sweep the budget cannot truncate, i.e. one with max_len unset or at
+    least n and max_paths at least P(n) or _path_bound, Bregman's bound on
+    the permanent of A + I plus the entry (v, u), which counts each u-v path
+    closed into a cycle by v -> u, runs on _paths_in_order, which builds each
+    prefix once, drops the prefixes on which no path can pass the screen and
+    stops at the first hit; when possible is False, the degrees rule out
+    every path and it enumerates none.  A sweep the budget can truncate
+    lists its paths through _simple_paths, even when possible is False and
+    none is screened, and when it is truncated and found nothing it raises
+    BudgetExceeded."""
     key += (budget,)
     if key in _verdicts:
         return _verdicts[key]
     found = None
-    if possible or _can_truncate(budget, g.n, (g._adj, u, v)):
+    if _can_truncate(budget, g.n, (g._adj, u, v)):
         paths, complete = _simple_paths(g, u, v, budget.max_paths, min(budget.max_len or g.n, g.n))
-        for p in paths if possible else ():
-            detail = hit(p)
-            if detail is not None:
-                found = p, detail
-                break
-        else:
-            if not complete:
-                raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
+    else:
+        paths, complete = _paths_in_order(g._adj, u, v, screen), True
+    for p in paths if possible else ():
+        detail = hit(p)
+        if detail is not None:
+            found = p, detail
+            break
+    else:
+        if not complete:
+            raise BudgetExceeded(f"path sweep for {what} truncated before a verdict")
     if len(_verdicts) >= _VERDICTS_MAX:
         del _verdicts[next(iter(_verdicts))]
     _verdicts[key] = found
@@ -379,7 +448,7 @@ def find_quasi_3cc_path(g: Graph, u: int, v: int,
     _check_pair(g, u, v)
     return _sweep(("q3cc", g, u, v), g, u, v, budget,
                   functools.partial(_chording_witness, g), f"quasi-3cc {u}-{v}",
-                  _any_may_reach_3(g._adj, u, v))
+                  _any_may_reach_3(g._adj, u, v), g._adj)
 
 
 def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
@@ -391,7 +460,7 @@ def find_e_plus_quasi_3cc_path(g: Graph, u: int, v: int, e: Pair,
     adj2 = _plus_edge(g, e)
     return _sweep(("eplus", g, u, v, (min(a, b), max(a, b))), g, u, v, budget,
                   lambda p: _eplus_hits(g, p, e, adj2), f"e-plus quasi-3cc {u}-{v}",
-                  _any_may_reach_3(adj2, u, v))
+                  _any_may_reach_3(adj2, u, v), adj2)
 
 
 def find_quasi_chord(g: Graph, u: int, v: int,

@@ -16,7 +16,7 @@ import itertools
 import json
 import time
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
 from .connectivity import _components, _pair_above_4, is_uniformly_4_connected
@@ -324,13 +324,52 @@ def _labeled(g: Graph) -> Labeled:
 
 def _degree5_forest(rows: Sequence[int]) -> bool:
     """Whether the vertices of degree >= 5 in the graph with these rows
-    induce a forest: with H their set, edges(H) = |H| - components(H)."""
+    induce a forest: with H their set, edges(H) = |H| - components(H).
+    decompose's screen reads it on whole graphs; the census, which grows a
+    forest one vertex at a time, uses _forest_rule."""
     high = 0
     for v, row in enumerate(rows):
         if row.bit_count() >= 5:
             high |= 1 << v
     edges = sum((rows[v] & high).bit_count() for v in _mask_bits(high)) // 2
     return edges == high.bit_count() - len(_components(rows, high))
+
+
+def _forest_rule(adj: Sequence[int]) -> Callable[[int], bool]:
+    """Mader's forest on masks, for a parent with these rows whose vertices
+    of degree >= 5 induce a forest: the test whether the child whose new
+    vertex k sees new still has such a forest.  The parent's trees are
+    found once; then each degree-4 vertex that k sees, and then k if it gets
+    degree >= 5, joins one at a time, and the joins keep a forest as long as
+    each meets every tree in at most one vertex, merging those it meets.
+    The child's edges among old vertices are the parent's, and k's are new."""
+    k = len(adj)
+    high = four = 0
+    for v, row in enumerate(adj):
+        high |= (row.bit_count() >= 5) << v
+        four |= (row.bit_count() == 4) << v
+    trees = _components(adj, high)
+
+    def keeps(new: int) -> bool:
+        forest = trees
+        joins = new & four | (new.bit_count() >= 5) << k
+        while joins:
+            bit = joins & -joins
+            joins ^= bit
+            row = new if bit >> k else adj[bit.bit_length() - 1]
+            rest = []
+            for t in forest:
+                meet = row & t
+                if not meet:
+                    rest.append(t)
+                elif meet & (meet - 1):
+                    return False
+                else:
+                    bit |= t
+            rest.append(bit)
+            forest = rest
+        return True
+    return keeps
 
 
 def _meets_uniform_bounds(rows: Sequence[int]) -> bool:
@@ -364,9 +403,10 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
     more edges among its neighbours than k has.  It has the parent's
     count, counted once per parent on first need, plus, when k sees it,
     the edges from k to its neighbours; k has the parent's edges less
-    those at a vertex of S.  Last, on the child's rows, the vertices of
-    degree >= 5 must still induce a forest (_degree5_forest) and no pair
-    may have five internally disjoint paths (_pair_above_4).
+    those at a vertex of S.  Then, still on masks, the vertices of degree
+    >= 5 must still induce a forest (_forest_rule, whose parent trees are
+    found once per parent).  Last, on the child's rows, built only now, no
+    pair may have five internally disjoint paths (_pair_above_4).
     """
     k = parent.n
     adj = [parent.adj_mask(v) for v in range(k)]
@@ -377,6 +417,7 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
     avail = [v for v in range(k) if k - 1 - deg[v] < maxdeg]
     edges = sum(deg) // 2
     hood: list[int] = []  # the edges among each vertex's neighbours, on first need
+    forest = _forest_rule(adj)
     full = (1 << k) - 1
     seen = set()  # the orbits of the kept miss masks
     for size in range(min(maxdeg, len(avail), k - max(deg)) + 1):
@@ -399,8 +440,10 @@ def _children(parent: Graph, maxdeg: int, gens: Sequence[tuple[int, ...]]) -> It
                 if (any(hood[u] > tk for u in _mask_bits(top))
                         or any(hood[u] + (adj[u] & new).bit_count() > tk for u in _mask_bits(ties))):
                     continue
+            if not forest(new):
+                continue
             rows = [row | 1 << k if new >> u & 1 else row for u, row in enumerate(adj)] + [new]
-            if _degree5_forest(rows) and _pair_above_4(rows) is None:
+            if _pair_above_4(rows) is None:
                 todo = [miss_mask]
                 while todo:
                     m = todo.pop()
@@ -422,9 +465,11 @@ def _oracle(n: int) -> dict[bytes, Graph]:
     and Mader's forest: a uniformly 4-connected graph is minimally
     4-connected (deleting an edge uv leaves u and v with local
     connectivity 3), so its vertices of degree >= 5 induce a forest (Mader
-    1972).  _children keeps them as it adds a vertex, and
-    _meets_uniform_bounds checks them on a whole graph, which is how
-    decompose screens its hosts.  All three are hereditary: complement
+    1972).  _children keeps them as it adds a vertex, the forest on masks
+    by joining the new degree >= 5 vertices to the parent's trees
+    (_forest_rule), and _meets_uniform_bounds checks them on a whole graph,
+    the forest by _degree5_forest, which is how decompose screens its
+    hosts.  All three are hereditary: complement
     degrees and the set of degree >= 5 vertices only grow as vertices are
     added, and so does local connectivity, since a path in an induced
     subgraph is a path in the whole graph; so every induced subgraph of a

@@ -257,9 +257,9 @@ def _recorded_screens(monkeypatch):
     screens = []
     sweep = chording._sweep
 
-    def recording(key, g, u, v, budget, hit, what, possible):
+    def recording(key, g, u, v, budget, hit, what, possible, screen=None):
         screens.append((key[0], possible))
-        return sweep(key, g, u, v, budget, hit, what, possible)
+        return sweep(key, g, u, v, budget, hit, what, possible, screen)
 
     monkeypatch.setattr(chording, "_sweep", recording)
     return screens
@@ -298,6 +298,31 @@ class TestSweepScreens:
         for what in ("q3cc", "eplus", "qchord"):
             outcomes = [possible for name, possible in screens if name == what]
             assert outcomes.count(False) >= 80 and outcomes.count(True) >= 40, what
+
+    def test_ordered_paths_against_the_listed_sweep(self):
+        # unscreened, the generator yields exactly the listed sweep, sorted
+        # by (length, lex); screened by the rows of g or of g + e, it drops
+        # no path that passes the degree caps of those rows, and keeps order
+        rng = random.Random(83)
+        dropped = 0
+        for _ in range(1000):
+            n = rng.randint(5, 8)
+            g = reference.random_graph(rng, n, rng.choice([0.3, 0.45, 0.6, 0.8]))
+            u, v = rng.sample(range(n), 2)
+            paths, complete = chording._simple_paths(g, u, v, chording._kn_path_count(n), n)
+            assert complete
+            assert list(paths) == sorted(reference.all_simple_paths(g, u, v), key=lambda p: (len(p), p))
+            assert list(chording._paths_in_order(g._adj, u, v)) == list(paths), (g, u, v)
+            missing = [e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)]
+            screens = [g._adj] + ([chording._plus_edge(g, rng.choice(missing))] if missing else [])
+            for screen in screens:
+                got = list(chording._paths_in_order(g._adj, u, v, screen))
+                in_order = iter(paths)
+                assert all(p in in_order for p in got), (g, u, v, screen)
+                kept = iter(got)
+                assert all(p in kept for p in paths if chording._may_reach(screen, p, 3)), (g, u, v, screen)
+                dropped += len(paths) - len(got)
+        assert dropped > 30_000  # 38,261 of the 116,730 paths listed for 1,985 screens
 
     def test_c16_square_replay_screens_no_path(self, monkeypatch):
         # every sweep of the replay is settled from degrees; screening each

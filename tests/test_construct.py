@@ -222,6 +222,28 @@ class TestOracle:
         assert construct._degree5_forest(rows(union(octahedron_plus(), octahedron_plus())))
         assert not construct._degree5_forest(rows(union(octahedron_plus(), complete_graph(6))))
 
+    def test_mask_forest_rule_matches_the_child_rows(self):
+        # on every parent of census(<= 9), the forest rule on masks keeps
+        # exactly the miss-sets, of every size the census may try, whose
+        # child rows pass _degree5_forest
+        outcomes = collections.Counter()
+        for n in range(5, 10):
+            for level in itertools.islice(self._levels(n), n - 1):
+                for parent in level:
+                    k = parent.n
+                    adj = [parent.adj_mask(v) for v in range(k)]
+                    keeps = construct._forest_rule(adj)
+                    avail = [v for v in range(k) if k - 1 - adj[v].bit_count() < n - 5]
+                    for size in range(min(n - 5, len(avail)) + 1):
+                        for miss in itertools.combinations(avail, size):
+                            new = (1 << k) - 1 - sum(1 << v for v in miss)
+                            rows = [row | (new >> u & 1) << k for u, row in enumerate(adj)] + [new]
+                            want = construct._degree5_forest(rows)
+                            assert keeps(new) == want, (n, format_graph6(parent), miss)
+                            outcomes[want] += 1
+        # 19,485 miss-sets kept and 19,791 refused
+        assert outcomes[True] > 10_000 and outcomes[False] > 10_000, outcomes
+
     def test_oracle_never_touches_expansion_machinery(self, monkeypatch):
         def boom(*a, **k):
             raise AssertionError("oracle reached expansion machinery")

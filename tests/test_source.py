@@ -317,6 +317,7 @@ def test_groups_are_closed_from_recorded_generators():
 # can skip the per-sweep test.  May only shrink.
 SWEEP_CALLERS = {
     "_simple_paths": {"chording._sweep"},
+    "_paths_in_order": {"chording._sweep"},
     "_path_bound": {"chording._can_truncate"},
 }
 
