@@ -8,9 +8,9 @@ exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
@@ -306,9 +306,13 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The full parser, built from the argument rows: the reference for
-    every line, and the one thing that prints usage, help and errors."""
+def _build_parser():
+    """The full parser, an argparse.ArgumentParser built from the argument
+    rows: the reference for every line, and the one thing that prints
+    usage, help and errors.  argparse, and gettext with it, is imported
+    here, so a well-formed line loads neither."""
+    import argparse
+
     ap = argparse.ArgumentParser(prog="unicon4",
                                  description="uniformly 4-connected graph toolkit")
     ap.add_argument("--version", action="version", version=f"unicon4 {__version__}")
@@ -326,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_line(argv) -> argparse.Namespace | None:
-    """The Namespace argparse gives a well-formed command line, read from
+def _read_line(argv) -> SimpleNamespace | None:
+    """The attributes argparse gives a well-formed command line, read from
     the rows without building a parser; None for any other line.
 
     Well-formed: argv[0] names a command, and every other token is either
@@ -373,7 +377,7 @@ def _read_line(argv) -> argparse.Namespace | None:
     if len(positionals) != len(dests) or any(row[5] and row[1] not in seen for row in rows):
         return None
     values.update(zip(dests, positionals))
-    return argparse.Namespace(cmd=argv[0], **values)
+    return SimpleNamespace(cmd=argv[0], **values)
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,8 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 
 from .chording import DEFAULT_BUDGET, BudgetExceeded, SearchBudget, _can_truncate
-from .connectivity import _components, _pair_above_4, is_uniformly_4_connected
-from .graph_core import (Graph, GraphError, add_edges, canonical_cert, format_graph6,
+from .connectivity import _components, _pair_above_4, is_k_connected, is_uniformly_4_connected
+from .graph_core import (Graph, GraphError, canonical_cert, format_graph6,
                          square_of_cycle, _canonical_search, _cert_of, _form_from, _group, _iso_from,
                          _mask_bits)
 from .transform import (CompatSet, Delta1Spec, Delta2Spec, Pair, SpecInvalid, _attach,
@@ -181,13 +181,16 @@ def replay(trace: ConstructionTrace, budget: SearchBudget = DEFAULT_BUDGET,
 # -- decomposition ---------------------------------------------------------------
 
 
-def _parent_candidates(g: Graph) -> Iterator[tuple[str, Graph, CompatSet]]:
-    """Smaller host graphs H with an expansion spec rebuilding g.
+def _parent_candidates(g: Graph) -> Iterator[tuple[str, list[int], tuple]]:
+    """Smaller host graphs H with an expansion spec rebuilding g, each as
+    (op, H's rows, the spec's fields): SPEC_KINDS[op](*fields) is the spec.
 
     Candidates are derived from the degree-4 vertices: removing such a
     vertex (or an adjacent degree-4 pair) and restoring edges inside its
     outer neighborhood inverts an expansion.  Full restorations (the edge
-    reduction of the removed attachment edge) come first.
+    reduction of the removed attachment edge) come first.  Rows and fields
+    are all that is built, so a caller that rejects a host on its rows
+    builds neither a graph nor a spec for it.
 
     On a 4-connected g every candidate meets the defining clauses, so
     decompose checks none.  The shape clauses hold by construction, and
@@ -218,18 +221,21 @@ def _parent_candidates(g: Graph) -> Iterator[tuple[str, Graph, CompatSet]]:
             else:
                 continue
             keep = [v for v in range(g.n) if v not in gone]
-            core = _form_from(g, keep)
+            core = _form_from(g, keep)._adj
             remap = {old: new for new, old in enumerate(keep)}
             mx, my = (tuple(sorted((remap[a], remap[b]) for a, b in m)) for m in (missing_x, missing_y))
             mxs = tuple(remap[a] for a in xset)
             mys = tuple(remap[a] for a in yset)
             for exs, eys in itertools.product(_subsets_largest_first(mx),
                                               _subsets_largest_first(my) if yset else [()]):
-                host = add_edges(core, exs + eys)
+                rows = list(core)
+                for a, b in exs + eys:
+                    rows[a] |= 1 << b
+                    rows[b] |= 1 << a
                 if yset:
-                    yield "delta2", host, Delta2Spec(mxs, mys, exs, eys)
+                    yield "delta2", rows, (mxs, mys, exs, eys)
                 else:
-                    yield "delta1", host, Delta1Spec(mxs, remap[y], exs)
+                    yield "delta1", rows, (mxs, remap[y], exs)
 
 
 def _subsets_largest_first(edges: tuple) -> Iterator[tuple]:
@@ -243,35 +249,51 @@ def decompose(g: Graph) -> ConstructionTrace:
     Depth-first search over parent candidates in a fixed order, descending
     only into uniformly 4-connected parents, so every emitted intermediate
     is itself uniformly 4-connected; candidates meet the defining clauses
-    by construction (_parent_candidates).  A host whose rows break one of the
-    bounds that every uniformly 4-connected graph meets
-    (_meets_uniform_bounds) is passed over without the uniformity test.
+    by construction (_parent_candidates).  A host is screened on its rows
+    first: one that breaks a bound every uniformly 4-connected graph meets
+    (_meets_uniform_bounds) is passed over before a graph or a spec is
+    built for it.  The screen proves minimum degree 4 and no pair above 4,
+    so a host that passes is uniformly 4-connected exactly when it is
+    4-connected, and no witness is built for one that is not.
     Whether the search from a graph succeeds depends only on its
     isomorphism class (by induction on n: an isomorphism maps the
     candidates of one graph onto those of the other), so a class whose
     search failed is recorded by certificate in this call and not searched
-    again.  At most DECOMPOSE_CANDIDATES candidates are examined across the
+    again; each labeled graph is canonically searched at most once per
+    call.  At most DECOMPOSE_CANDIDATES candidates are examined across the
     whole search.
     """
-    if g.n < 5 or not is_uniformly_4_connected(g)[0]:
+    # is_uniformly_4_connected's verdict, without the witness it builds: a
+    # uniformly 4-connected graph is minimally 4-connected, so it meets the
+    # bounds, and a 4-connected graph that meets them has no pair above 4
+    if g.n < 5 or not is_k_connected(g, 4) or not _meets_uniform_bounds(g._adj):
         raise NotUniform("decomposition is defined for uniformly 4-connected graphs")
     nodes = [0]
     failed: set = set()
+    searched: dict = {}  # labeled graph -> its _canonical_search
+
+    def labeled(h: Graph) -> tuple:
+        found = searched.get(h)
+        if found is None:
+            found = searched[h] = _canonical_search(h)
+        return found
 
     def search(cur: Graph, cert: bytes) -> tuple[str, list[TraceStep], Graph, tuple]:
         # cert is cur's certificate; the graph rebuilt comes back with its labeling
         for tag, (base_cert, base_order) in _BASES.items():
             if cert == base_cert:
                 return tag, [], base_graph(tag), base_order
-        for op, host, spec in () if cert in failed else _parent_candidates(cur):
+        for op, rows, fields in () if cert in failed else _parent_candidates(cur):
             nodes[0] += 1
             if nodes[0] > DECOMPOSE_CANDIDATES:
                 raise BudgetExceeded(f"decomposition examined {nodes[0]} candidates")
-            # a host that breaks a bound cannot be uniformly 4-connected, so
-            # skip the witness that is_uniformly_4_connected would build for it
-            if not _meets_uniform_bounds(host._adj) or not is_uniformly_4_connected(host)[0]:
+            if not _meets_uniform_bounds(rows):
                 continue
-            host_order, _, host_rows = _canonical_search(host)
+            host = Graph._of(rows)
+            if not is_k_connected(host, 4):
+                continue
+            spec = SPEC_KINDS[op](*fields)
+            host_order, _, host_rows = labeled(host)
             try:
                 tag, steps, rebuilt, rebuilt_order = search(host, _cert_of(host_rows))
             except DecompositionError:
@@ -281,7 +303,7 @@ def decompose(g: Graph) -> ConstructionTrace:
                 raise RuntimeError("the rebuilt parent is not isomorphic to the candidate host")
             moved = _map_spec(spec, iso)
             out = _attach(_reduced(rebuilt, moved), moved)
-            out_order, _, out_rows = _canonical_search(out)
+            out_order, _, out_rows = labeled(out)
             if _cert_of(out_rows) != cert:
                 raise RuntimeError("the rebuilt expansion does not reproduce the decomposed graph")
             steps.append(TraceStep(op, moved, cert))
@@ -289,7 +311,7 @@ def decompose(g: Graph) -> ConstructionTrace:
         failed.add(cert)
         raise DecompositionError(f"no uniformly 4-connected parent found for {cur!r}")
 
-    tag, steps, _, _ = search(g, canonical_cert(g))
+    tag, steps, _, _ = search(g, _cert_of(labeled(g)[2]))
     return ConstructionTrace(tag, tuple(steps))
 
 

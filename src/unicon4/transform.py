@@ -222,18 +222,21 @@ def _separated(g: Graph, x: int, y: int) -> bool:
     for an edge x < y of a 4-connected graph on at least 7 vertices.
 
     g - xy has at least 3 internally disjoint x-y paths; with 4 no 3-set
-    separates x from y, which one count settles.  Otherwise a 3-set S
-    that splits g - xy as asked leaves a neighbour a of x on x's side and
-    a neighbour b of y on y's side: a is not y and not adjacent to y, b
-    likewise, and a, b are not adjacent.  S then separates {x, a} from
-    {y, b}, so contracting a into x and b into y leaves x-y local
-    connectivity below 4, the edge xy not counted.  Conversely, a cut of
-    at most 3 vertices between the contracted x and y separates x from y
-    in g - xy, so it is a 3-set with a on x's side and b on y's, and each
-    side holds 2 vertices.
+    separates x from y, which one count settles.  The paths leave x and
+    enter y through distinct neighbours other than x and y, so there can
+    be 4 only when x and y both have degree >= 5, and only then is the
+    count made.  Otherwise a 3-set S that splits g - xy as asked leaves a
+    neighbour a of x on x's side and a neighbour b of y on y's side: a is
+    not y and not adjacent to y, b likewise, and a, b are not adjacent.
+    S then separates {x, a} from {y, b}, so contracting a into x and b
+    into y leaves x-y local connectivity below 4, the edge xy not counted.
+    Conversely, a cut of at most 3 vertices between the contracted x and
+    y separates x from y in g - xy, so it is a 3-set with a on x's side
+    and b on y's, and each side holds 2 vertices.
     """
     adj, full = g._adj, (1 << g.n) - 1
-    if _local_conn(adj, x, y, 4, full, False) == 4:
+    high = min(adj[x].bit_count(), adj[y].bit_count()) >= 5
+    if high and _local_conn(adj, x, y, 4, full, False) == 4:
         return False
     for a in _mask_bits(adj[x] & ~adj[y] & ~(1 << y)):
         for b in _mask_bits(adj[y] & ~adj[x] & ~adj[a] & ~(1 << x)):

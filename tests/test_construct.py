@@ -577,8 +577,8 @@ class TestDecompose:
         # exhaustively-enumerated two-vertex parents is uniformly
         # 4-connected: the characterization misses this graph
         assert is_uniformly_4_connected(K44)[0]
-        for op, host, spec in construct._parent_candidates(K44):
-            assert not is_uniformly_4_connected(host)[0]
+        for op, rows, fields in construct._parent_candidates(K44):
+            assert not is_uniformly_4_connected(Graph._of(rows))[0]
         with pytest.raises(construct.DecompositionError):
             decompose(K44)
 
@@ -589,16 +589,17 @@ class TestDecompose:
             decompose(K44)
 
     def test_hosts_below_degree_4_skip_the_uniformity_check(self, monkeypatch):
-        # such a host cannot be uniformly 4-connected, and the check would
-        # build a cut witness that the search never reads
+        # such a host cannot be uniformly 4-connected; the screen rejects
+        # it before the 4-connectivity test, which is the uniformity check
+        # of a screened host
         degrees = []
-        check = construct.is_uniformly_4_connected
+        check = construct.is_k_connected
 
-        def recorded(h):
+        def recorded(h, k):
             degrees.append(h.min_degree())
-            return check(h)
+            return check(h, k)
 
-        monkeypatch.setattr(construct, "is_uniformly_4_connected", recorded)
+        monkeypatch.setattr(construct, "is_k_connected", recorded)
         with pytest.raises(construct.DecompositionError):
             decompose(K44)
         assert degrees and min(degrees) == 4
@@ -710,15 +711,18 @@ class TestDecompose:
 
     def test_only_screened_hosts_are_checked_for_uniformity(self, monkeypatch):
         # the input gets exactly one public check, every later one is on a
-        # host that meets the bounds
+        # host that meets the bounds; the screen proves minimum degree 4
+        # and no pair above 4, so the check is the 4-connectivity test
         checked = []
-        check = construct.is_uniformly_4_connected
+        check = construct.is_k_connected
 
-        def recorded(h):
+        def recorded(h, k):
+            assert k == 4
             checked.append(h)
-            return check(h)
+            return check(h, k)
 
-        monkeypatch.setattr(construct, "is_uniformly_4_connected", recorded)
+        monkeypatch.setattr(construct, "is_k_connected", recorded)
+        monkeypatch.setattr(construct, "is_uniformly_4_connected", None)  # never called
         hosts = 0
         for g in (square_of_cycle(12), K44, graph_core.parse_graph6("I@L{UFPw_")):
             checked.clear()
@@ -735,6 +739,109 @@ class TestDecompose:
         with pytest.raises(NotUniform):
             decompose(complete_graph(6))
         assert len(checked) == 1
+
+    def test_graphs_and_specs_are_built_only_for_screened_hosts(self, monkeypatch):
+        # a candidate comes as rows and spec fields; a graph is built only
+        # for rows that pass the screen, and a spec only for a host that
+        # then passes the 4-connectivity test
+        events = []
+        screen, check = construct._meets_uniform_bounds, construct.is_k_connected
+
+        def screened(rows):
+            ok = screen(rows)
+            events.append(("screen", tuple(rows), ok))
+            return ok
+
+        def checked(h, k):
+            ok = check(h, k)
+            events.append(("check", h._adj, ok))
+            return ok
+
+        class Recorded(Graph):
+            @classmethod
+            def _of(cls, adj):
+                events.append(("graph", tuple(adj)))
+                return Graph._of(adj)
+
+        def kind(op, spec_kind):
+            def built(*fields):
+                events.append(("spec", op))
+                return spec_kind(*fields)
+            return built
+
+        monkeypatch.setattr(construct, "_meets_uniform_bounds", screened)
+        monkeypatch.setattr(construct, "is_k_connected", checked)
+        monkeypatch.setattr(construct, "Graph", Recorded)
+        monkeypatch.setattr(construct, "SPEC_KINDS",
+                            {op: kind(op, k) for op, k in construct.SPEC_KINDS.items()})
+        built = collections.Counter()
+        for g in (square_of_cycle(12),) + oracle_graphs(9):
+            events.clear()
+            try:
+                decompose(g)
+            except construct.DecompositionError:
+                pass
+            # the input's checks, then the candidates'
+            assert events[:2] == [("check", g._adj, True), ("screen", g._adj, True)]
+            for prev, event in zip(events[1:], events[2:]):
+                if event[0] == "graph":
+                    assert prev == ("screen", event[1], True)
+                elif event[0] == "check":
+                    assert prev == ("graph", event[1])
+                elif event[0] == "spec":
+                    assert prev[0] == "check" and prev[2]
+            built.update(e[0] if e[0] != "screen" else ("screen", e[2]) for e in events[2:])
+        assert built["graph"] == built["screen", True] < built["screen", False]
+        assert 0 < built["spec"] < built["graph"]
+
+    def test_no_labeled_graph_is_searched_twice(self, monkeypatch):
+        # I@L{UFPw_ meets seven hosts twice, in the same labeling, among
+        # those that pass the 4-connectivity test; each is searched once
+        searched, passed = [], []
+        search, check = construct._canonical_search, construct.is_k_connected
+
+        def checked(h, k):
+            ok = check(h, k)
+            if ok:
+                passed.append(h)
+            return ok
+
+        monkeypatch.setattr(construct, "_canonical_search", lambda h: searched.append(h) or search(h))
+        monkeypatch.setattr(construct, "is_k_connected", checked)
+        repeats = {}
+        for g in (graph_core.parse_graph6("I@L{UFPw_"), square_of_cycle(12)) + oracle_graphs(9):
+            searched.clear()
+            passed.clear()
+            try:
+                decompose(g)
+            except construct.DecompositionError:
+                pass
+            assert len(searched) == len(set(searched))
+            assert set(passed) <= set(searched) and searched[0] == g
+            repeats[format_graph6(g)] = len(passed) - len(set(passed))
+        assert repeats["I@L{UFPw_"] == 7
+
+    def test_decompose_builds_no_witness(self, monkeypatch):
+        # the input check and the host checks give verdicts only: no cut
+        # sweep and no five-fan, whether the input fails below 4 or above
+        c8sq = square_of_cycle(8)
+        refused = [graph_core.remove_edges(c8sq, [(0, 1)]), graph_core.add_edges(c8sq, [(0, 4)]),
+                   octahedron_plus(), complete_graph(6), graph_core.cycle_graph(8)]
+        assert not any(is_uniformly_4_connected(g)[0] for g in refused)
+        monkeypatch.setattr(connectivity, "_witness", None)
+        refuted, check = [], construct.is_k_connected
+        monkeypatch.setattr(construct, "is_k_connected", lambda h, k: check(h, k) or refuted.append(h))
+        # HBY^Czb meets two screened hosts below 4-connectivity
+        for g in (square_of_cycle(12), K44, graph_core.parse_graph6("I@L{UFPw_"),
+                  graph_core.parse_graph6("HBY^Czb")):
+            try:
+                decompose(g)
+            except construct.DecompositionError:
+                pass
+        assert len(refuted) == 2
+        for g in refused:
+            with pytest.raises(NotUniform):
+                decompose(g)
 
     def test_base_table_matches_the_labeling(self):
         assert tuple(construct._BASES) == construct.BASE_TAGS
@@ -766,14 +873,15 @@ class TestDecompose:
         kappas = collections.Counter()
         for n in range(5, 9):
             for g in oracle_graphs(n):
-                for op, host, spec in construct._parent_candidates(g):
+                for op, rows, fields in construct._parent_candidates(g):
+                    host, spec = Graph._of(rows), construct.SPEC_KINDS[op](*fields)
                     kappas[op, connectivity._kappa(transform._clauses(host, spec), 3)] += 1
         assert kappas == {("delta1", 3): 230, ("delta2", 3): 884, ("delta2", 2): 796}
         c9sq_chord = graph_core.add_edges(square_of_cycle(9), [(0, 3)])
         for g in (graph_core.k6_minus_edge(), octahedron_plus(), c9sq_chord):
             assert connectivity.is_k_connected(g, 4)
-            for _, host, spec in construct._parent_candidates(g):
-                transform._clauses(host, spec)
+            for op, rows, fields in construct._parent_candidates(g):
+                transform._clauses(Graph._of(rows), construct.SPEC_KINDS[op](*fields))
 
 
 class TestTraces:

@@ -83,12 +83,13 @@ def test_slow_import_finder_sees_each_form():
 def test_cli_runs_without_typing_dataclasses_or_inspect(tmp_path):
     # a fresh interpreter, as the unicon4 entry point starts one, that then
     # runs every kind of command, so that no module loads them later either;
-    # only argparse's gettext lookups load locale, so it shows that no
-    # parser was built for these well-formed lines
+    # argparse, and gettext with it, is imported only to build the full
+    # parser, and only its gettext lookups load locale, so they show that
+    # no parser was built for these well-formed lines
     code = ("import contextlib, io, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import unicon4.cli\n"
-            "slow = ('typing', 'dataclasses', 'inspect', 'locale')\n"
+            "slow = ('typing', 'dataclasses', 'inspect', 'locale', 'argparse', 'gettext')\n"
             "print([m for m in slow if m in sys.modules])\n"
             "g, trace = sys.argv[2] + '/g.g6', sys.argv[2] + '/trace.json'\n"
             "with open(g, 'w') as fh:\n"

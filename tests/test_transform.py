@@ -200,15 +200,33 @@ def _separated_cases(name):
     return [random_4connected(rng, n) for n in range(7, 13) for _ in range(2)]
 
 
-class TestSeparated:
-    """_separated counts x-y paths in g - xy once and, when there are only
-    3, counts again across each contraction of a private neighbour of x
-    into x and of y into y; the exhaustive sweep over all 3-sets checks it."""
+def _chorded_squares():
+    """Squared cycles with random chords, relabeled: graphs in which some
+    edges have both ends of degree >= 5, some of them separated."""
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(40):
+        n = rng.randint(8, 13)
+        g = square_of_cycle(n)
+        for _ in range(rng.randint(2, 4)):
+            a, b = rng.sample(range(n), 2)
+            if not g.has_edge(a, b):
+                g = add_edges(g, [(a, b)])
+        graphs.append(reference.random_permuted(rng, g))
+    return graphs
 
-    @pytest.mark.parametrize("family", ["squares", "pool", "random"])
-    def test_matches_the_exhaustive_sweep(self, family, monkeypatch):
-        # the first count of each edge runs on g's own rows, every later
-        # one on a contraction, which masks out the two merged vertices
+
+class TestSeparated:
+    """_separated counts x-y paths in g - xy once, when both ends have
+    degree >= 5, and, when that count is not 4, counts again across each
+    contraction of a private neighbour of x into x and of y into y; the
+    exhaustive sweep over all 3-sets checks it."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The kinds of count _separated makes: on g's own rows, with the
+        value found, or on a contraction, which masks out the two merged
+        vertices."""
         counts = collections.Counter()
         count = transform._local_conn
 
@@ -218,17 +236,65 @@ class TestSeparated:
             return k
 
         monkeypatch.setattr(transform, "_local_conn", counted)
+        return counts
+
+    @pytest.mark.parametrize("family", ["squares", "pool", "random"])
+    def test_matches_the_exhaustive_sweep(self, family, monkeypatch):
+        # the first count of an edge runs on g's own rows exactly when both
+        # its ends have degree >= 5, every later one on a contraction
+        counts = self._record(monkeypatch)
         answers = collections.Counter()
+        high = 0
         for g in _separated_cases(family):
             for x, y in g.edges():
                 got = _separated(g, x, y)
                 assert got == reference.separated_by_3set(g, x, y), (format_graph6(g), x, y)
                 answers[got] += 1
+                high += min(g.degree(x), g.degree(y)) >= 5
         assert answers[True] and answers[False]
         assert set(counts) <= {"whole-3", "whole-4", "contracted"}
-        assert counts["whole-3"] and counts["contracted"]
+        assert counts["whole-3"] + counts["whole-4"] == high
+        assert counts["contracted"]
         if family == "random":
+            assert counts["whole-3"]
             assert counts["whole-4"]  # the early exit: no 3-set cuts 4 disjoint paths
+
+    def test_a_degree_4_end_makes_no_count_in_g_minus_xy(self, monkeypatch):
+        # the x-y paths of g - xy leave x and enter y through distinct
+        # neighbours other than x and y, so a degree-4 end caps them at 3
+        whole = []
+        count = transform._local_conn
+
+        def counted(adj, u, v, cap, alive, direct):
+            if alive == (1 << len(adj)) - 1:
+                whole.append((u, v))
+            return count(adj, u, v, cap, alive, direct)
+
+        monkeypatch.setattr(transform, "_local_conn", counted)
+        kinds = collections.Counter()
+        for g in _separated_cases("squares") + _separated_cases("pool") + _chorded_squares():
+            for x, y in g.edges():
+                whole.clear()
+                _separated(g, x, y)
+                high = min(g.degree(x), g.degree(y)) >= 5
+                assert whole == ([(x, y)] if high else []), (format_graph6(g), x, y)
+                kinds[high] += 1
+        assert kinds[True] and kinds[False] > kinds[True]
+
+    def test_ends_of_degree_5_match_the_exhaustive_sweep(self, monkeypatch):
+        # the count is made, and read, on every edge whose ends both have
+        # degree >= 5; both of its outcomes and both answers occur
+        counts = self._record(monkeypatch)
+        answers = collections.Counter()
+        for g in _chorded_squares():
+            for x, y in g.edges():
+                if min(g.degree(x), g.degree(y)) >= 5:
+                    got = _separated(g, x, y)
+                    assert got == reference.separated_by_3set(g, x, y), (format_graph6(g), x, y)
+                    answers[got] += 1
+        assert answers[True] and answers[False]
+        assert counts["whole-3"] and counts["whole-4"] and counts["contracted"]
+        assert counts["whole-3"] + counts["whole-4"] == answers[True] + answers[False]
 
     def test_four_paths_skip_the_component_search(self, monkeypatch):
         calls = []
